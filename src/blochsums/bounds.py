@@ -22,7 +22,7 @@ All surd constants are evaluated once from integers at import time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 __all__ = [

@@ -19,20 +19,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import bounds
 from .bounds import (
-    R_HI,
     R_THM5,
     RHS_SCALE,
     bound_basic,
@@ -43,14 +39,15 @@ from .bounds import (
     remark6_poly,
     thm_rhs,
 )
-from .numerics import bisect, sign_changes
+from .families import X_SUP
+from .numerics import _straddles, bisect, sign_changes
 from .verify import (
     ALL_SUITES,
     ScanGrid,
     VerdictReport,
+    _FAMILY_LHS,
     _family_peak,
-    _thm2_family_lhs,
-    _thm5_family_lhs,
+    crossing_radius,
     run_suite,
 )
 
@@ -92,10 +89,16 @@ class RunConfig:
             raise UsageError("at least one suite must be selected")
         if self.format not in ("csv", "json"):
             raise UsageError("format must be 'csv' or 'json'")
-        if self.tol <= 0.0:
-            raise UsageError("tol must be positive")
+        if self.seed < 0:
+            raise UsageError("seed must be nonnegative")
+        if not 0.0 < self.tol < math.inf:
+            raise UsageError("tol must be finite and positive")
         if self.truncation < 8:
             raise UsageError("truncation must be at least 8")
+        if self.grid is not None and not 0.0 <= self.grid[0] < self.grid[1] <= X_SUP:
+            raise UsageError(f"x grid must lie in [0, 1/sqrt(3)], got {self.grid}")
+        if self.r_values is not None and not all(0.0 < r < 1.0 for r in self.r_values):
+            raise UsageError("r_values must lie in (0, 1)")
 
     def to_text(self) -> str:
         lines = [f"suite = {','.join(self.suites)}", f"format = {self.format}"]
@@ -126,22 +129,16 @@ class RunConfig:
         for key, value in values.items():
             if key == "suite":
                 kwargs["suites"] = tuple(s for s in value.split(",") if s)
-            elif key == "out":
-                kwargs["out"] = value
-            elif key == "format":
-                kwargs["format"] = value
-            elif key == "seed":
-                kwargs["seed"] = _parse_int(key, value)
+            elif key in ("out", "format"):
+                kwargs[key] = value
+            elif key in ("seed", "truncation"):
+                kwargs[key] = _parse_int(key, value)
             elif key == "tol":
                 kwargs["tol"] = _parse_float(key, value)
             elif key == "grid":
                 kwargs["grid"] = _parse_grid(value)
-            elif key == "truncation":
-                kwargs["truncation"] = _parse_int(key, value)
             elif key == "r_values":
-                kwargs["r_values"] = tuple(
-                    _parse_float(key, v) for v in value.split(",") if v
-                )
+                kwargs["r_values"] = _parse_radii(value)
             else:
                 raise UsageError(f"unknown config key {key!r}")
         return cls(**kwargs)
@@ -183,6 +180,10 @@ def _parse_float(key: str, value: str) -> float:
         raise UsageError(f"{key} expects a number, got {value!r}") from exc
 
 
+def _parse_radii(value: str) -> Tuple[float, ...]:
+    return tuple(_parse_float("r_values", v) for v in value.split(",") if v)
+
+
 def _parse_grid(value: str) -> Tuple[float, float, int]:
     parts = value.split(":")
     if len(parts) != 3:
@@ -198,7 +199,9 @@ def _parse_grid(value: str) -> Tuple[float, float, int]:
 # ---------------------------------------------------------------------------
 # report serialization
 
-_CSV_HEADER = "suite_id,instance_id,params,lhs,rhs,slack,tail_cert,pass"
+_CSV_COLUMNS = (
+    "suite_id", "instance_id", "params", "lhs", "rhs", "slack", "tail_cert", "pass"
+)
 
 
 def _report_records(report: VerdictReport) -> List[Dict[str, str]]:
@@ -226,26 +229,8 @@ def _render_report(report: VerdictReport, fmt: str) -> str:
     records = _report_records(report)
     if fmt == "json":
         return json.dumps(records, indent=2) + "\n"
-    buf = io.StringIO()
-    buf.write(_CSV_HEADER + "\n")
-    for rec in records:
-        buf.write(
-            ",".join(
-                rec[col]
-                for col in (
-                    "suite_id",
-                    "instance_id",
-                    "params",
-                    "lhs",
-                    "rhs",
-                    "slack",
-                    "tail_cert",
-                    "pass",
-                )
-            )
-            + "\n"
-        )
-    return buf.getvalue()
+    rows = [_CSV_COLUMNS] + [tuple(rec[col] for col in _CSV_COLUMNS) for rec in records]
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _write_text(path: str, text: str) -> None:
@@ -260,18 +245,11 @@ def _write_text(path: str, text: str) -> None:
 # verify
 
 
-def _ordered_selection(suites: Sequence[str]) -> Tuple[str, ...]:
-    seen = set(suites)
-    return tuple(s for s in ALL_SUITES if s in seen)
-
-
 def cmd_verify(config: RunConfig, stdout=None) -> int:
     out = stdout or sys.stdout
-    suites = _ordered_selection(config.suites)
-    grid = config.scan_grid()
-    with ThreadPoolExecutor(max_workers=min(4, len(suites))) as pool:
-        futures = {s: pool.submit(run_suite, s, grid) for s in suites}
-        reports = {s: futures[s].result() for s in suites}
+    suites = tuple(s for s in ALL_SUITES if s in config.suites)
+    grid, shared = config.scan_grid(), {}  # shared: one thm1 sample set per run
+    reports = {s: run_suite(s, grid, shared) for s in suites}
     if config.out is not None:
         os.makedirs(config.out, exist_ok=True)
     all_passed = True
@@ -396,8 +374,6 @@ def cmd_table(
             try:
                 value = _table_value(bid, x, float(r))
                 cell = _fmt(value)
-            except UsageError:
-                raise
             except ValueError:
                 cell = "out_of_range"
             lines.append(f"{bid},{x_cell},{_fmt(float(r))},{cell}")
@@ -413,26 +389,20 @@ def cmd_table(
 # ---------------------------------------------------------------------------
 # scan
 
-_SCAN_TARGETS = ("problem1", "problem2", "thm5_sharpness")
-_SCAN_DEFAULT_RANGE = {
-    "problem1": (0.37, 0.42, 26),
-    "problem2": (0.37, 0.43, 31),
-    "thm5_sharpness": (0.36, 0.40, 26),
+# Each target's quartic bound and default radius range.  problem1 and
+# problem2 probe the same squared-weight sum against (27/4) r^4 (their
+# theorems share one left side, on nested classes); thm5_sharpness probes
+# the product functional against (27/8) r^4.
+_SCAN_TARGETS = {
+    "problem1": ("thm2", (0.37, 0.42, 26)),
+    "problem2": ("thm2", (0.37, 0.43, 31)),
+    "thm5_sharpness": ("thm5", (0.36, 0.40, 26)),
 }
-
-
-def _scan_functional(target: str):
-    # problem1 and problem2 probe the same squared-weight sum against
-    # (27/4) r^4 (their theorems share one left side, on nested classes);
-    # thm5_sharpness probes the product functional against (27/8) r^4.
-    if target in ("problem1", "problem2"):
-        return _thm2_family_lhs, RHS_SCALE["thm2"]
-    return _thm5_family_lhs, RHS_SCALE["thm5"]
 
 
 def cmd_scan(
     target: str,
-    r_range: Tuple[float, float, int],
+    r_range: Optional[Tuple[float, float, int]],
     grid: ScanGrid,
     out_path: Optional[str],
     stdout=None,
@@ -442,8 +412,9 @@ def cmd_scan(
         raise UsageError(
             f"unknown scan target {target!r}; known: {', '.join(_SCAN_TARGETS)}"
         )
-    functional, scale = _scan_functional(target)
-    lo, hi, steps = r_range
+    bound_id, default_range = _SCAN_TARGETS[target]
+    functional, scale = _FAMILY_LHS[bound_id], RHS_SCALE[bound_id]
+    lo, hi, steps = r_range or default_range
     radii = np.linspace(lo, hi, steps)
     lines = ["r,max_lhs,rhs,slack,x_at_max"]
     slacks: List[float] = []
@@ -467,14 +438,10 @@ def cmd_scan(
         if slacks[i] == 0.0:
             crossing = float(radii[i])
             break
-        if slacks[i] * slacks[i + 1] < 0.0:
-            result = bisect(
-                lambda r: scale * r**4 - _family_peak(functional, r, grid)[0],
-                float(radii[i]),
-                float(radii[i + 1]),
-                tol=1e-12,
-            )
-            crossing = result.root
+        if _straddles(slacks[i], slacks[i + 1]):
+            crossing = crossing_radius(
+                bound_id, float(radii[i]), float(radii[i + 1]), grid, tol=1e-12
+            ).root
             break
     print(f"target = {target}", file=out)
     if crossing is None:
@@ -546,8 +513,6 @@ def _build_parser() -> _Parser:
     p_scan = sub.add_parser("scan", help="slack-vs-radius curve for a family scan")
     p_scan.add_argument("--target", required=True, help="|".join(_SCAN_TARGETS))
     p_scan.add_argument("--grid", default=None, help="r range as lo:hi:steps")
-    p_scan.add_argument("--seed", type=int, default=42)
-    p_scan.add_argument("--tol", type=float, default=1e-10)
     p_scan.add_argument("--out", default=None, help="output CSV path")
     return parser
 
@@ -563,22 +528,13 @@ def _verify_config(args: argparse.Namespace) -> RunConfig:
         for chunk in args.suite:
             suites.extend(s for s in chunk.split(",") if s)
         updates["suites"] = tuple(suites)
-    if args.out is not None:
-        updates["out"] = args.out
-    if args.format is not None:
-        updates["format"] = args.format
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.tol is not None:
-        updates["tol"] = args.tol
+    for key in ("out", "format", "seed", "tol", "truncation"):
+        if getattr(args, key) is not None:
+            updates[key] = getattr(args, key)
     if args.grid is not None:
         updates["grid"] = _parse_grid(args.grid)
-    if args.truncation is not None:
-        updates["truncation"] = args.truncation
     if args.r_values is not None:
-        updates["r_values"] = tuple(
-            _parse_float("r_values", v) for v in args.r_values.split(",") if v
-        )
+        updates["r_values"] = _parse_radii(args.r_values)
     if updates:
         config = dataclasses.replace(config, **updates)
     return config
@@ -598,15 +554,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 raise UsageError("--bounds must name at least one bound id")
             return cmd_table(bound_ids, _parse_grid(args.grid), args.x, args.out)
         if args.command == "scan":
-            r_range = (
-                _parse_grid(args.grid)
-                if args.grid is not None
-                else _SCAN_DEFAULT_RANGE[args.target]
-                if args.target in _SCAN_DEFAULT_RANGE
-                else (0.36, 0.41, 26)
-            )
-            grid = ScanGrid(seed=args.seed, tolerance=args.tol)
-            return cmd_scan(args.target, r_range, grid, args.out)
+            r_range = None if args.grid is None else _parse_grid(args.grid)
+            return cmd_scan(args.target, r_range, ScanGrid(), args.out)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -26,6 +26,12 @@ __all__ = [
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
+def _straddles(a: float, b: float) -> bool:
+    """True when a and b have strictly opposite signs.  Compares signs, not
+    the product a * b, which underflows to zero for tiny values."""
+    return (a < 0.0 < b) or (b < 0.0 < a)
+
+
 @dataclass(frozen=True)
 class RootResult:
     """Outcome of a bracketing root solve.
@@ -71,7 +77,7 @@ def bisect(
         return RootResult(lo, (lo, lo), 0.0, 0, True)
     if fhi == 0.0:
         return RootResult(hi, (hi, hi), 0.0, 0, True)
-    if flo * fhi > 0.0:
+    if not _straddles(flo, fhi):
         raise ValueError("not bracketed: f(lo) and f(hi) have the same sign")
 
     iterations = 0
@@ -85,7 +91,7 @@ def bisect(
             lo = hi = mid
             flo = fhi = 0.0
             break
-        if flo * fmid < 0.0:
+        if _straddles(flo, fmid):
             hi, fhi = mid, fmid
         else:
             lo, flo = mid, fmid
@@ -122,7 +128,7 @@ def sign_changes(
     for i in range(1, steps):
         t = lo + i * h if i < steps - 1 else hi
         v = f(t)
-        if v_prev * v < 0.0:
+        if _straddles(v_prev, v):
             brackets.append((t_prev, t))
         t_prev, v_prev = t, v
     return brackets

@@ -21,8 +21,7 @@ coefficients, provided here as ``tail_majorant_extremal``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 

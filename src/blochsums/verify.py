@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -186,8 +186,6 @@ class ScanGrid:
     """Parameter grids, seed, and tolerances driving the verifier sweeps."""
 
     x_range: Tuple[float, float, int] = (1e-3, X_SUP - 1e-3, 400)
-    r_range: Tuple[float, float, int] = (R_THM5 - 0.05, R_HI, 33)
-    a_range: Tuple[float, float, int] = (0.05, 0.95, 50)
     sample_count: int = 100
     seed: int = 42
     tolerance: float = 1e-10
@@ -195,12 +193,9 @@ class ScanGrid:
     r_values: Optional[Tuple[float, ...]] = None  # explicit radius override
 
     def __post_init__(self) -> None:
-        for name in ("x_range", "r_range", "a_range"):
-            lo, hi, steps = getattr(self, name)
-            if not lo < hi:
-                raise ValueError(f"{name}: need lo < hi")
-            if steps < 2:
-                raise ValueError(f"{name}: need at least 2 steps")
+        lo, hi, steps = self.x_range
+        if not lo < hi or steps < 2:
+            raise ValueError("x_range: need lo < hi and at least 2 steps")
         if self.tolerance <= 0.0:
             raise ValueError("tolerance must be positive")
         if self.sample_count < 1:
@@ -257,21 +252,56 @@ def make_subordinate(
     """Coefficients of base composed with w, truncated at order n.
 
     Because w(0) = 0, base terms of index m contribute only to orders >= m,
-    so the truncated Horner recursion below is exact through order n.  The
+    so the truncated Horner recursion is exact through order n.  Rotations
+    and monomials take shortcuts that give Horner's result bit for bit.  The
     constant term is preserved, and when base is the derivative of a class
     member the composition stays in the class: |base(w(z))| is dominated by
     the maximum of |base| on the subdisc of radius |z|.
     """
     if base.kind != KIND_DERIVATIVE:
         raise ValueError("make_subordinate expects a derivative-kind base")
-    wc = w.coeffs(n)
+    if w.kind == "monomial":
+        coeffs = _compose_monomial(base.coeffs, w.degree, n)
+    elif w.kind == "rotation":
+        coeffs = _compose_rotation(base.coeffs, w.parameters[0], n)
+    else:
+        coeffs = _compose_horner(base.coeffs, w.coeffs(n), n)
+    return CoefficientSeries(coeffs, KIND_DERIVATIVE)
+
+
+def _compose_horner(b: np.ndarray, wc: np.ndarray, n: int) -> np.ndarray:
+    """Truncated Horner recursion for b composed with w (w(0) = 0)."""
     if wc[0] != 0.0:
         raise ValueError("Schwarz coefficients must vanish at the origin")
     acc = np.zeros(n + 1, dtype=np.complex128)
-    for b in base.coeffs[::-1]:
+    for c in b[::-1]:
         acc = np.convolve(acc, wc)[: n + 1]
-        acc[0] += b
-    return CoefficientSeries(acc, KIND_DERIVATIVE)
+        acc[0] += c
+    return acc
+
+
+def _compose_monomial(b: np.ndarray, d: int, n: int) -> np.ndarray:
+    """b composed with z^d: b_j moves to index j d.  Bit-identical to Horner,
+    whose convolutions here only multiply by 1.0 and add exact zeros."""
+    out = np.zeros(n + 1, dtype=np.complex128)
+    m = min(b.size, n // d + 1)
+    out[: m * d : d] = b[:m]
+    return out
+
+
+def _compose_rotation(b: np.ndarray, u: complex, n: int) -> np.ndarray:
+    """b composed with u z: entry k is ((b_k u) u) ... u, the k successive
+    products Horner makes.  Step s multiplies the tail [s:] by u once with
+    Horner's float64 operations; u**k would round differently."""
+    m = min(b.size, n + 1)
+    out = np.zeros(n + 1, dtype=np.complex128)
+    out[:m] = b[:m]
+    re, im = out.real, out.imag
+    ur, ui = u.real, u.imag
+    for s in range(1, m):
+        xr, xi = re[s:m], im[s:m]
+        re[s:m], im[s:m] = xr * ur - xi * ui, xr * ui + xi * ur
+    return out
 
 
 def _prefix_power_sums(s: CoefficientSeries, n_max: int) -> np.ndarray:
@@ -408,6 +438,13 @@ def _pair(
     ]
 
 
+def _prefixed(prefix: str, rows: Sequence[BoundEvaluation]) -> List[BoundEvaluation]:
+    """Rows with ``prefix/`` put in front of each instance id."""
+    return [
+        dataclasses.replace(i, instance_id=f"{prefix}/{i.instance_id}") for i in rows
+    ]
+
+
 def _budget(
     bound_id: str,
     instance_id: str,
@@ -447,6 +484,13 @@ def _thm5_family_lhs(x: float, r: float) -> float:
 
 def _thm2_family_lhs(x: float, r: float) -> float:
     return bounds._thm1_B_raw(x, r)
+
+
+# The family functional each quartic bound is scanned against.
+_FAMILY_LHS: Dict[str, Callable[[float, float], float]] = {
+    "thm2": _thm2_family_lhs,
+    "thm5": _thm5_family_lhs,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -845,8 +889,16 @@ def verify_thm5(grid: ScanGrid, r: Optional[float] = None) -> VerdictReport:
     (large first coefficient): direct maximization.  Ring instances pin the
     inequality at both boundary radii, mirroring the maximum-principle step.
     """
-    if r is None:
-        r = R_THM5
+    upper = _family_peak(_thm5_family_lhs, R_HI, grid)
+    rows = _thm5_rows(grid, R_THM5 if r is None else r, x_of_a(0.6), upper)
+    return VerdictReport.from_instances("thm5", rows, grid.tolerance)
+
+
+def _thm5_rows(
+    grid: ScanGrid, r: float, x_case: float, upper: Tuple[float, float]
+) -> List[BoundEvaluation]:
+    """Rows of ``verify_thm5`` at radius r, given the r-independent pieces:
+    x_case = x_of_a(3/5) and the family peak at R_HI as (value, argmax)."""
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
     r2 = r * r
@@ -855,7 +907,6 @@ def verify_thm5(grid: ScanGrid, r: Optional[float] = None) -> VerdictReport:
 
     # Case 1: the hypothesis a <= 3/5 confines x below 1/4, where the
     # admissible radius stays above 0.38 and hence above the threshold.
-    x_case = x_of_a(0.6)
     instances.append(
         BoundEvaluation("thm5", "case1/x_boundary", {"a": 0.6}, x_case, 0.25)
     )
@@ -937,7 +988,7 @@ def verify_thm5(grid: ScanGrid, r: Optional[float] = None) -> VerdictReport:
     instances.append(
         BoundEvaluation("thm5", "ring/lower", {"r": r, "x": x_lo}, peak_lo, rhs)
     )
-    peak_hi, x_hi_ring = _family_peak(_thm5_family_lhs, R_HI, grid)
+    peak_hi, x_hi_ring = upper
     instances.append(
         BoundEvaluation(
             "thm5",
@@ -947,7 +998,7 @@ def verify_thm5(grid: ScanGrid, r: Optional[float] = None) -> VerdictReport:
             27.0 / 8.0 * R_HI**4,
         )
     )
-    return VerdictReport.from_instances("thm5", instances, grid.tolerance)
+    return instances
 
 
 def sharpness_scan(bound_id: str, r: float, grid: ScanGrid) -> VerdictReport:
@@ -960,8 +1011,7 @@ def sharpness_scan(bound_id: str, r: float, grid: ScanGrid) -> VerdictReport:
     """
     if bound_id not in ("thm2", "thm5"):
         raise ValueError("sharpness scans support bound ids 'thm2' and 'thm5'")
-    functional = _thm2_family_lhs if bound_id == "thm2" else _thm5_family_lhs
-    peak, arg = _family_peak(functional, r, grid)
+    peak, arg = _family_peak(_FAMILY_LHS[bound_id], r, grid)
     rhs = RHS_SCALE[bound_id] * r**4
     inst = BoundEvaluation(
         bound_id, f"scan/r={r:.8f}", {"r": r, "x": arg}, peak, rhs
@@ -977,7 +1027,7 @@ def crossing_radius(
     tol: float = 1e-10,
 ):
     """Bisect the radius where the family peak crosses the quartic bound."""
-    functional = _thm2_family_lhs if bound_id == "thm2" else _thm5_family_lhs
+    functional = _FAMILY_LHS[bound_id]
     scale = RHS_SCALE[bound_id]
 
     def slack_deficit(r: float) -> float:
@@ -1082,35 +1132,32 @@ def _suite_prop1(grid: ScanGrid) -> VerdictReport:
 
 
 _THM1_XS = (0.1, 0.2, 0.3)
-_thm1_cache: Dict[Tuple, List[BoundEvaluation]] = {}
 
 
-def _thm1_instances(grid: ScanGrid) -> List[BoundEvaluation]:
-    key = (grid.seed, grid.truncation, grid.sample_count, grid.tolerance)
-    if key in _thm1_cache:
-        return _thm1_cache[key]
-    per_x = dataclasses.replace(
-        grid, sample_count=max(3, grid.sample_count // len(_THM1_XS))
-    )
-    merged: List[BoundEvaluation] = []
-    for x in _THM1_XS:
-        r = 0.9 * r_admissible(x)
-        report = verify_thm1(x, r, per_x)
-        for inst in report.instances:
-            merged.append(
-                dataclasses.replace(inst, instance_id=f"x={x:.1f}/{inst.instance_id}")
-            )
-    _thm1_cache[key] = merged
-    return merged
+def _thm1_rows(
+    grid: ScanGrid, shared: Dict[str, object]
+) -> Dict[str, List[BoundEvaluation]]:
+    """The thm1 rows split by bound id, built once per ``shared`` dict."""
+    if "thm1" not in shared:
+        per_x = dataclasses.replace(
+            grid, sample_count=max(3, grid.sample_count // len(_THM1_XS))
+        )
+        rows: Dict[str, List[BoundEvaluation]] = {"thm1_B": [], "thm1_B2": []}
+        for x in _THM1_XS:
+            report = verify_thm1(x, 0.9 * r_admissible(x), per_x)
+            for inst in _prefixed(f"x={x:.1f}", report.instances):
+                rows[inst.bound_id].append(inst)
+        shared["thm1"] = rows
+    return shared["thm1"]
 
 
-def _suite_thm1_B(grid: ScanGrid) -> VerdictReport:
-    instances = [i for i in _thm1_instances(grid) if i.bound_id == "thm1_B"]
+def _suite_thm1_B(grid: ScanGrid, shared: Dict[str, object]) -> VerdictReport:
+    instances = _thm1_rows(grid, shared)["thm1_B"]
     return VerdictReport.from_instances("thm1_B", instances, grid.tolerance)
 
 
-def _suite_thm1_B2(grid: ScanGrid) -> VerdictReport:
-    instances = [i for i in _thm1_instances(grid) if i.bound_id == "thm1_B2"]
+def _suite_thm1_B2(grid: ScanGrid, shared: Dict[str, object]) -> VerdictReport:
+    instances = list(_thm1_rows(grid, shared)["thm1_B2"])
     for x in (0.05, 0.1, 0.15, 0.2, 0.25):
         a2 = a_of_x(x) ** 2
         for frac in (0.5, 0.7, 0.9, 1.0):
@@ -1137,11 +1184,7 @@ def _suite_thm1_B2(grid: ScanGrid) -> VerdictReport:
 def _suite_thm2(grid: ScanGrid) -> VerdictReport:
     instances: List[BoundEvaluation] = []
     for r in (THM2_R_LO, 0.55, R_HI):
-        report = verify_thm2(r, x_steps=1000)
-        for inst in report.instances:
-            instances.append(
-                dataclasses.replace(inst, instance_id=f"r={r:.6f}/{inst.instance_id}")
-            )
+        instances += _prefixed(f"r={r:.6f}", verify_thm2(r, x_steps=1000).instances)
     return VerdictReport.from_instances("thm2", instances, grid.tolerance)
 
 
@@ -1253,22 +1296,18 @@ def _suite_cor2(grid: ScanGrid) -> VerdictReport:
 
 
 def _suite_thm5(grid: ScanGrid) -> VerdictReport:
+    x_case = x_of_a(0.6)
+    upper = _family_peak(_thm5_family_lhs, R_HI, grid)
     if grid.r_values:
-        merged: List[BoundEvaluation] = []
+        instances: List[BoundEvaluation] = []
         for r in grid.r_values:
-            report = verify_thm5(grid, r)
-            for inst in report.instances:
-                merged.append(
-                    dataclasses.replace(
-                        inst, instance_id=f"r={r:.6f}/{inst.instance_id}"
-                    )
-                )
-        return VerdictReport.from_instances("thm5", merged, grid.tolerance)
-    report = verify_thm5(grid)
-    return VerdictReport.from_instances("thm5", report.instances, grid.tolerance)
+            instances += _prefixed(f"r={r:.6f}", _thm5_rows(grid, r, x_case, upper))
+    else:
+        instances = _thm5_rows(grid, R_THM5, x_case, upper)
+    return VerdictReport.from_instances("thm5", instances, grid.tolerance)
 
 
-_SUITE_RUNNERS: Dict[str, Callable[[ScanGrid], VerdictReport]] = {
+_SUITE_RUNNERS: Dict[str, Callable[..., VerdictReport]] = {
     "basic": _suite_basic,
     "prop1": _suite_prop1,
     "thm1_B": _suite_thm1_B,
@@ -1281,8 +1320,13 @@ _SUITE_RUNNERS: Dict[str, Callable[[ScanGrid], VerdictReport]] = {
 }
 
 
-def run_suite(suite_id: str, grid: ScanGrid) -> VerdictReport:
-    """Run one certification suite by its report tag."""
+def run_suite(
+    suite_id: str, grid: ScanGrid, shared: Optional[Dict[str, object]] = None
+) -> VerdictReport:
+    """Run one certification suite by its report tag.  The thm1_B and thm1_B2
+    suites share their thm1 rows through ``shared``, one dict per run."""
     if suite_id not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite id {suite_id!r}; known: {ALL_SUITES}")
+    if suite_id in ("thm1_B", "thm1_B2"):
+        return _SUITE_RUNNERS[suite_id](grid, {} if shared is None else shared)
     return _SUITE_RUNNERS[suite_id](grid)

@@ -1,13 +1,14 @@
 """CLI behavior: config round trips, exit codes, report files, determinism."""
 
+import io
 import json
 import math
 import os
 
 import pytest
 
-from blochsums import R_THM5, bound_basic, bound_thm1_B
-from blochsums.cli import RunConfig, UsageError, main
+from blochsums import R_THM5, bound_basic, bound_thm1_B, verify
+from blochsums.cli import RunConfig, UsageError, cmd_verify, main
 
 
 def run_cli(capsys, *argv):
@@ -126,6 +127,45 @@ class TestVerifyCommand:
             assert rc == 0
             paths.append(out_dir / "cor1.csv")
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--suite", "thm2", "--tol", "nan"),
+            ("--suite", "basic", "--seed", "-1"),
+            ("--suite", "thm5", "--r-values", "1.5"),
+            ("--suite", "thm5", "--grid", "0.1:0.9:10"),
+        ],
+    )
+    def test_out_of_domain_values_exit_2(self, capsys, flags):
+        rc, out, err = run_cli(capsys, "verify", *flags)
+        assert rc == 2
+        assert err.startswith("usage error:")
+        assert out == ""
+
+    def test_thm1_composed_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        original = verify.verify_thm1
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "verify_thm1", counting)
+        reports = []
+        for tag in ("one", "two"):
+            calls.clear()
+            out_dir = tmp_path / tag
+            config = RunConfig(
+                suites=("thm1_B", "thm1_B2"), out=str(out_dir), truncation=48
+            )
+            assert cmd_verify(config, stdout=io.StringIO()) == 0
+            assert len(calls) == 3
+            reports.append(
+                [(out_dir / f"{s}.csv").read_bytes() for s in config.suites]
+            )
+        assert reports[0] == reports[1]
+        assert not hasattr(verify, "_thm1_cache")
 
     def test_seed_flag_changes_sampled_rows(self, capsys, tmp_path):
         texts = []

@@ -40,8 +40,21 @@ class TestBisect:
         result = bisect(lambda x: x**3 - c, -3.0, 3.0, tol=1e-13)
         assert abs(result.root - math.copysign(abs(c) ** (1.0 / 3.0), c)) < 1e-10
 
+    def test_tiny_values_keep_their_signs(self):
+        # f(lo) * f(mid) underflows to zero here; the root lies near 2.2e-103.
+        result = bisect(lambda x: x**3 - 1.1e-308, -3.0, 3.0)
+        lo, hi = result.bracket
+        assert lo <= 1.1e-308 ** (1.0 / 3.0) <= hi
+        assert result.converged
+
 
 class TestSignChanges:
+    def test_tiny_values_keep_their_signs(self):
+        brackets = sign_changes(lambda x: 1e-200 * (x - 0.5), 0.0, 1.0, 10)
+        assert len(brackets) == 1
+        lo, hi = brackets[0]
+        assert lo < 0.5 < hi
+
     def test_sine_brackets(self):
         brackets = sign_changes(math.sin, 0.1, 10.0, 1001)
         assert len(brackets) == 3

@@ -29,7 +29,8 @@ from blochsums import (
     verify_thm5,
 )
 from blochsums.bounds import THM2_R_LO, R_HI
-from blochsums.verify import _random_bloch_prime, _random_schwarz
+from blochsums.families import f_n_prime
+from blochsums.verify import _compose_horner, _random_bloch_prime, _random_schwarz
 
 
 class TestSchwarzSpec:
@@ -103,6 +104,32 @@ class TestMakeSubordinate:
         f = CoefficientSeries([0.0, 1.0], "function")
         with pytest.raises(ValueError):
             make_subordinate(f, SchwarzSpec("monomial", (), degree=2), 8)
+
+
+class TestCompositionFastPaths:
+    """Rotations and monomials skip the Horner recursion; since reports print
+    17 significant digits, their coefficients must equal Horner's exactly."""
+
+    @pytest.mark.parametrize("n", [48, 64, 256])
+    def test_equal_to_horner_oracle(self, n):
+        rng = np.random.default_rng(n)
+        bases = [
+            g_prime_coeffs(float(rng.uniform(0.02, 0.55)), n),
+            g_prime_coeffs(0.3, n + 17),  # longer than n + 1
+            h_series(float(rng.uniform(0.15, 0.9)), n),
+            f_n_prime(int(rng.integers(1, 7))),  # shorter than n + 1
+        ]
+        specs = [
+            SchwarzSpec("rotation", (complex(np.exp(2j * np.pi * rng.uniform())),))
+            for _ in range(3)
+        ]
+        specs += [SchwarzSpec("monomial", (), degree=d) for d in (1, 2, 3, 4, n + 1)]
+        for base in bases:
+            for spec in specs:
+                fast = make_subordinate(base, spec, n).coeffs
+                oracle = _compose_horner(base.coeffs, spec.coeffs(n), n)
+                assert fast.shape == (n + 1,)
+                assert np.array_equal(fast, oracle), (spec, base.order)
 
 
 class TestRogosinskiDominance:
