@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from .numerics import _log1m_tail
+
 __all__ = [
     "SQRT3",
     "R_THM5",
@@ -231,7 +233,7 @@ def bound_cor1(a: float, r: float) -> float:
     if t >= 1.0:  # cannot occur under the preconditions; kept as a hard guard
         raise ValueError("4 a^2 r^2 / 3 must stay below 1")
     scale = 3.0 * (9.0 - 4.0 * a * a) ** 2 / (64.0 * a**4)
-    return scale * (-math.log1p(-t) - t)
+    return scale * _log1m_tail(t)
 
 
 def validity_interval(bound_id: str) -> Tuple[float, float]:

@@ -30,7 +30,6 @@ import numpy as np
 
 from .bounds import (
     R_THM5,
-    RHS_SCALE,
     bound_basic,
     bound_cor1,
     bound_prop1,
@@ -39,16 +38,15 @@ from .bounds import (
     remark6_poly,
     thm_rhs,
 )
-from .families import X_SUP
 from .numerics import _straddles, bisect, sign_changes
 from .verify import (
     ALL_SUITES,
+    DEFAULT_TOL,
     ScanGrid,
     VerdictReport,
-    _FAMILY_LHS,
-    _family_peak,
     crossing_radius,
     run_suite,
+    sharpness_scan,
 )
 
 __all__ = ["RunConfig", "main"]
@@ -68,13 +66,14 @@ def _fmt(value: float) -> str:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat, file-representable configuration for the ``verify`` subcommand."""
+    """Flat, file-representable configuration for the ``verify`` subcommand.
+    ``ScanGrid`` checks the numeric fields when ``scan_grid`` builds it."""
 
     suites: Tuple[str, ...] = ALL_SUITES
     out: Optional[str] = None
     format: str = "csv"
     seed: int = 42
-    tol: float = 1e-10
+    tol: float = DEFAULT_TOL
     grid: Optional[Tuple[float, float, int]] = None
     truncation: int = 256
     r_values: Optional[Tuple[float, ...]] = None
@@ -89,16 +88,6 @@ class RunConfig:
             raise UsageError("at least one suite must be selected")
         if self.format not in ("csv", "json"):
             raise UsageError("format must be 'csv' or 'json'")
-        if self.seed < 0:
-            raise UsageError("seed must be nonnegative")
-        if not 0.0 < self.tol < math.inf:
-            raise UsageError("tol must be finite and positive")
-        if self.truncation < 8:
-            raise UsageError("truncation must be at least 8")
-        if self.grid is not None and not 0.0 <= self.grid[0] < self.grid[1] <= X_SUP:
-            raise UsageError(f"x grid must lie in [0, 1/sqrt(3)], got {self.grid}")
-        if self.r_values is not None and not all(0.0 < r < 1.0 for r in self.r_values):
-            raise UsageError("r_values must lie in (0, 1)")
 
     def to_text(self) -> str:
         lines = [f"suite = {','.join(self.suites)}", f"format = {self.format}"]
@@ -413,18 +402,18 @@ def cmd_scan(
             f"unknown scan target {target!r}; known: {', '.join(_SCAN_TARGETS)}"
         )
     bound_id, default_range = _SCAN_TARGETS[target]
-    functional, scale = _FAMILY_LHS[bound_id], RHS_SCALE[bound_id]
     lo, hi, steps = r_range or default_range
+    if not 0.0 < lo < hi < 1.0:
+        raise UsageError(f"scan radii must lie in (0, 1), got {lo!r}:{hi!r}")
     radii = np.linspace(lo, hi, steps)
     lines = ["r,max_lhs,rhs,slack,x_at_max"]
     slacks: List[float] = []
     for r in radii:
-        peak, arg = _family_peak(functional, float(r), grid)
-        rhs = scale * float(r) ** 4
-        slack = rhs - peak
-        slacks.append(slack)
+        row = sharpness_scan(bound_id, float(r), grid).instances[0]
+        slacks.append(row.slack)
         lines.append(
-            f"{_fmt(float(r))},{_fmt(peak)},{_fmt(rhs)},{_fmt(slack)},{_fmt(arg)}"
+            f"{_fmt(float(r))},{_fmt(row.lhs)},{_fmt(row.rhs)},"
+            f"{_fmt(row.slack)},{_fmt(row.params['x'])}"
         )
     text = "\n".join(lines) + "\n"
     if out_path is not None:

@@ -32,6 +32,20 @@ def _straddles(a: float, b: float) -> bool:
     return (a < 0.0 < b) or (b < 0.0 < a)
 
 
+def _log1m_tail(t: float) -> float:
+    """-log(1 - t) - t for 0 <= t < 1.  The direct form loses about
+    3e-16 / t of relative accuracy to cancellation, so below t = 0.01 it is
+    t^2/(2 - t) + 2 (s^3/3 + s^5/5 + ...) with s = t/(2 - t), from
+    -log(1 - t) = 2 atanh(s): all terms positive, and the first one left out
+    below 1e-17 of the sum."""
+    if not t < 0.01:
+        return -math.log1p(-t) - t
+    t = float(t)  # a NumPy scalar would make each operation below slower
+    s = t / (2.0 - t)
+    s2 = s * s
+    return t * t / (2.0 - t) + 2.0 * s * s2 * (1.0 / 3.0 + s2 / 5.0 + s2 * s2 / 7.0)
+
+
 @dataclass(frozen=True)
 class RootResult:
     """Outcome of a bracketing root solve.

@@ -1,7 +1,8 @@
 """Certification suites for the sharp coefficient-sum inequalities.
 
-Each suite replays one claim numerically and returns a VerdictReport whose
-instances are individual lhs <= rhs comparisons:
+Each suite replays one claim numerically as a list of rows, individual
+lhs <= rhs comparisons (``BoundEvaluation``), and ``run_suite`` judges a
+suite's rows once, under the grid's tolerance, into a VerdictReport:
 
 * equality cases are encoded as paired one-sided instances (suffixes
   ``/le`` and ``/ge``) so a single acceptance rule covers bounds and
@@ -16,6 +17,10 @@ The sampled machinery rests on two classical facts that are themselves
 property-tested here: coefficient prefix-sum dominance under subordination,
 and the summation-by-parts upgrade from prefix dominance to weighted-sum
 dominance for nonincreasing nonnegative weights.
+
+The standalone ``verify_*``, ``sharpness_scan`` and dominance functions wrap
+the same row builders and judge their rows at ``DEFAULT_TOL`` (1e-10);
+``ScanGrid.tolerance`` is read only by ``run_suite``.
 """
 
 from __future__ import annotations
@@ -53,7 +58,7 @@ from .families import (
     h_series,
     x_of_a,
 )
-from .numerics import bisect, golden_max, sign_changes, trapezoid
+from .numerics import _log1m_tail, bisect, golden_max, sign_changes, trapezoid
 from .series import (
     KIND_DERIVATIVE,
     CoefficientSeries,
@@ -64,6 +69,7 @@ from .series import (
 
 __all__ = [
     "ALL_SUITES",
+    "DEFAULT_TOL",
     "SchwarzSpec",
     "ScanGrid",
     "VerdictReport",
@@ -95,6 +101,11 @@ ALL_SUITES: Tuple[str, ...] = (
     "cor2",
     "thm5",
 )
+
+# Relative tolerance of the pass rule (see ``BoundEvaluation.margin``): the
+# default of ``ScanGrid.tolerance`` and ``--tol``, and the tolerance the
+# standalone functions judge at.
+DEFAULT_TOL = 1e-10
 
 _SCHWARZ_KINDS = ("rotation", "monomial", "blaschke_product")
 
@@ -188,20 +199,27 @@ class ScanGrid:
     x_range: Tuple[float, float, int] = (1e-3, X_SUP - 1e-3, 400)
     sample_count: int = 100
     seed: int = 42
-    tolerance: float = 1e-10
+    tolerance: float = DEFAULT_TOL  # read by run_suite only
     truncation: int = 256
     r_values: Optional[Tuple[float, ...]] = None  # explicit radius override
 
     def __post_init__(self) -> None:
         lo, hi, steps = self.x_range
-        if not lo < hi or steps < 2:
-            raise ValueError("x_range: need lo < hi and at least 2 steps")
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 <= lo < hi <= X_SUP or steps < 2:
+            raise ValueError(
+                "x grid must satisfy 0 <= lo < hi <= 1/sqrt(3) with at least "
+                f"2 steps, got {self.x_range}"
+            )
+        if not 0.0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be finite and positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if self.sample_count < 1:
             raise ValueError("sample_count must be positive")
         if self.truncation < 8:
-            raise ValueError("truncation below 8 is useless")
+            raise ValueError("truncation must be at least 8")
+        if self.r_values is not None and not all(0.0 < r < 1.0 for r in self.r_values):
+            raise ValueError("r_values must lie in (0, 1)")
 
     def x_grid(self) -> np.ndarray:
         lo, hi, steps = self.x_range
@@ -315,7 +333,6 @@ def rogosinski_dominance(
     f: CoefficientSeries,
     g: CoefficientSeries,
     n_max: int,
-    tolerance: float = 1e-10,
 ) -> VerdictReport:
     """Check prefix-sum dominance sum_{k<=n} |f_k|^2 <= sum_{k<=n} |g_k|^2.
 
@@ -337,7 +354,7 @@ def rogosinski_dominance(
         )
         for n in range(n_max + 1)
     ]
-    return VerdictReport.from_instances("rogosinski", instances, tolerance)
+    return VerdictReport.from_instances("rogosinski", instances, DEFAULT_TOL)
 
 
 def _rogosinski_worst(
@@ -355,7 +372,6 @@ def abel_weighted_dominance(
     u: Sequence[float],
     v: Sequence[float],
     lam: Sequence[float],
-    tolerance: float = 1e-10,
 ) -> VerdictReport:
     """Verify sum lam_k u_k <= sum lam_k v_k under summation-by-parts hypotheses.
 
@@ -364,6 +380,18 @@ def abel_weighted_dominance(
     prefix sum of v, and lam is nonincreasing and nonnegative.  The terms
     u, v themselves may be signed.
     """
+    row = _abel_row("abel", "weighted_sum", u, v, lam)
+    return VerdictReport.from_instances("abel", [row], DEFAULT_TOL)
+
+
+def _abel_row(
+    bound_id: str,
+    instance_id: str,
+    u: Sequence[float],
+    v: Sequence[float],
+    lam: Sequence[float],
+) -> BoundEvaluation:
+    """The row of ``abel_weighted_dominance``, its preconditions checked."""
     ua = np.asarray(u, dtype=np.float64)
     va = np.asarray(v, dtype=np.float64)
     la = np.asarray(lam, dtype=np.float64)
@@ -378,14 +406,13 @@ def abel_weighted_dominance(
         raise ValueError("invalid input: lam must be nonnegative")
     if np.any(np.diff(la) > 1e-15 * (1.0 + np.abs(la[:-1]))):
         raise ValueError("invalid input: lam must be nonincreasing")
-    inst = BoundEvaluation(
-        bound_id="abel",
-        instance_id="weighted_sum",
+    return BoundEvaluation(
+        bound_id=bound_id,
+        instance_id=instance_id,
         params={"terms": float(ua.size)},
         lhs=float(np.dot(la, ua)),
         rhs=float(np.dot(la, va)),
     )
-    return VerdictReport.from_instances("abel", [inst], tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -482,13 +509,9 @@ def _thm5_family_lhs(x: float, r: float) -> float:
     return (1.0 - a * a) * bounds._thm1_B2_raw(x, r)
 
 
-def _thm2_family_lhs(x: float, r: float) -> float:
-    return bounds._thm1_B_raw(x, r)
-
-
 # The family functional each quartic bound is scanned against.
 _FAMILY_LHS: Dict[str, Callable[[float, float], float]] = {
-    "thm2": _thm2_family_lhs,
+    "thm2": bounds._thm1_B_raw,
     "thm5": _thm5_family_lhs,
 }
 
@@ -512,46 +535,32 @@ def verify_thm1(x: float, r: float, grid: ScanGrid) -> VerdictReport:
             f"r={r} is not admissible for x={x}: the bound requires r <= {adm}"
         )
     n = grid.truncation
-    instances: List[BoundEvaluation] = []
     g = g_prime_coeffs(x, n)
     gf = integrate_series(g, 0.0)
-    sum2 = weighted_power_sum(gf, 2, r, "r2k")
-    sum1 = weighted_power_sum(gf, 1, r, "r2k")
-    tail2 = tail_majorant_extremal(x, r, 2, n)
-    tail1 = tail_majorant_extremal(x, r, 1, n)
+    # Per bound: the power p of its k^p r^{2k} weight, its closed form and the
+    # tail certificate of the truncated sums.
+    claims = (
+        ("thm1_B", 2, bound_thm1_B(x, r), tail_majorant_extremal(x, r, 2, n)),
+        ("thm1_B2", 1, bound_thm1_B2(x, r), tail_majorant_extremal(x, r, 1, n)),
+    )
     params = {"x": x, "r": r}
-    instances += _pair("thm1_B", "equality", params, sum2, bound_thm1_B(x, r), tail2)
-    instances += _pair("thm1_B2", "equality", params, sum1, bound_thm1_B2(x, r), tail1)
+    instances: List[BoundEvaluation] = []
+    for bid, p, rhs, tail in claims:
+        lhs = weighted_power_sum(gf, p, r, "r2k")
+        instances += _pair(bid, "equality", params, lhs, rhs, tail)
 
     rng = np.random.default_rng((grid.seed, int(round(x * 1e6))))
-    rhs2 = bound_thm1_B(x, r)
-    rhs1 = bound_thm1_B2(x, r)
     n_max = min(128, n)
     for i in range(grid.sample_count):
         spec = _random_schwarz(rng)
         comp = make_subordinate(g, spec, n)
         comp_f = integrate_series(comp, 0.0)
         sample_params = {"x": x, "r": r, "sample": float(i)}
-        instances.append(
-            BoundEvaluation(
-                "thm1_B",
-                f"sample{i:03d}",
-                sample_params,
-                weighted_power_sum(comp_f, 2, r, "r2k"),
-                rhs2,
-                tail2,
+        for bid, p, rhs, tail in claims:
+            lhs = weighted_power_sum(comp_f, p, r, "r2k")
+            instances.append(
+                BoundEvaluation(bid, f"sample{i:03d}", sample_params, lhs, rhs, tail)
             )
-        )
-        instances.append(
-            BoundEvaluation(
-                "thm1_B2",
-                f"sample{i:03d}",
-                sample_params,
-                weighted_power_sum(comp_f, 1, r, "r2k"),
-                rhs1,
-                tail1,
-            )
-        )
         excess, worst_n = _rogosinski_worst(comp, g, n_max)
         instances.append(
             BoundEvaluation(
@@ -562,7 +571,7 @@ def verify_thm1(x: float, r: float, grid: ScanGrid) -> VerdictReport:
                 0.0,
             )
         )
-    return VerdictReport.from_instances("thm1", instances, grid.tolerance)
+    return VerdictReport.from_instances("thm1", instances, DEFAULT_TOL)
 
 
 def _thm2_quadratic(x: float, r2: float) -> float:
@@ -593,6 +602,11 @@ def verify_thm2(r: float, x_steps: int = 1000) -> VerdictReport:
     identity connecting the two, and at the interval endpoints checks the
     known factorization (lower end) and the all-x equality (upper end).
     """
+    return VerdictReport.from_instances("thm2", _thm2_rows(r, x_steps), DEFAULT_TOL)
+
+
+def _thm2_rows(r: float, x_steps: int = 1000) -> List[BoundEvaluation]:
+    """Rows of ``verify_thm2``."""
     lo, hi = bounds.validity_interval("thm2")
     if not lo - 1e-12 <= r <= hi + 1e-12:
         raise ValueError(f"r={r} outside the validity interval [{lo}, {hi}]")
@@ -653,7 +667,7 @@ def verify_thm2(r: float, x_steps: int = 1000) -> VerdictReport:
                 1e-12,
             )
         )
-    return VerdictReport.from_instances("thm2", instances, 1e-10)
+    return instances
 
 
 def thm3_surd_coefficients() -> Tuple[float, ...]:
@@ -713,6 +727,11 @@ def verify_thm3(x_steps: int = 1000) -> VerdictReport:
     each exact surd coefficient with its printed decimal, and cross-checks
     the factored form against both independent routes to the same quantity.
     """
+    return VerdictReport.from_instances("thm3", _thm3_rows(x_steps), DEFAULT_TOL)
+
+
+def _thm3_rows(x_steps: int = 1000) -> List[BoundEvaluation]:
+    """Rows of ``verify_thm3``."""
     if x_steps < 2:
         raise ValueError("x_steps must be at least 2")
     xs = np.linspace(X_GUARD, X_SUP - X_GUARD, x_steps)
@@ -750,18 +769,16 @@ def verify_thm3(x_steps: int = 1000) -> VerdictReport:
         worst_quad = max(worst_quad, abs(raw - _thm3_quadratic(x)) / scale)
     instances.append(_budget("thm3", "factor_vs_raw", {}, worst_factor, 1e-10))
     instances.append(_budget("thm3", "quadratic_vs_raw", {}, worst_quad, 1e-10))
-    return VerdictReport.from_instances("thm3", instances, 1e-10)
+    return instances
 
 
 def _cor2_h(a: float, w: float) -> float:
     c = 4.0 * a * a / 9.0
-    return (1.0 - c) ** 2 * (-math.log1p(-w) - w) - w * w / 2.0
+    return (1.0 - c) ** 2 * _log1m_tail(w) - w * w / 2.0
 
 
 def _cor2_reduced(v: float) -> float:
-    if v == 0.0:
-        return 0.0
-    return -math.log1p(-v) - v - v * v / (2.0 * (1.0 - v) ** 2)
+    return _log1m_tail(v) - v * v / (2.0 * (1.0 - v) ** 2)
 
 
 def verify_cor2(a_steps: int = 200, w_steps: int = 200) -> VerdictReport:
@@ -772,6 +789,12 @@ def verify_cor2(a_steps: int = 200, w_steps: int = 200) -> VerdictReport:
     single-variable inequality on [0, 4/9], checked independently, and the
     substitution identity itself is verified at sampled a.
     """
+    rows = _cor2_rows(a_steps, w_steps)
+    return VerdictReport.from_instances("cor2", rows, DEFAULT_TOL)
+
+
+def _cor2_rows(a_steps: int = 200, w_steps: int = 200) -> List[BoundEvaluation]:
+    """Rows of ``verify_cor2``."""
     if a_steps < 2 or w_steps < 2:
         raise ValueError("need at least 2 steps in each direction")
     worst_val = -math.inf
@@ -835,7 +858,7 @@ def verify_cor2(a_steps: int = 200, w_steps: int = 200) -> VerdictReport:
             0.0,
         )
     )
-    return VerdictReport.from_instances("cor2", instances, 1e-10)
+    return instances
 
 
 def case1_poly_coeffs(r: float = R_THM5) -> np.ndarray:
@@ -860,24 +883,6 @@ def case1_poly_coeffs(r: float = R_THM5) -> np.ndarray:
     )
 
 
-def _case1_q_fit(r: float = R_THM5) -> np.ndarray:
-    """Degree-5 fit (in y) of -4 P(y)/y^2 from samples of the closed forms."""
-    ys = np.linspace(0.01, 0.5, 60)
-    r2 = r * r
-
-    def q_of_y(y: float) -> float:
-        a2 = 27.0 / 4.0 * y * (1.0 - y) ** 2
-        num = (1.0 - a2) * (1.0 - y) ** 2 * (
-            2.0 * y + r2 * (1.0 + 2.0 * (r2 - 3.0) * y + y * y)
-        ) - r2 * (1.0 - r2 * y) ** 4
-        return -4.0 * num / (y * y)
-
-    samples = np.array([q_of_y(y) for y in ys])
-    scale = ys.max()
-    coeffs_t = npoly.polyfit(ys / scale, samples, 5)
-    return coeffs_t / scale ** np.arange(6)
-
-
 def verify_thm5(grid: ScanGrid, r: Optional[float] = None) -> VerdictReport:
     """Replay of the three-case proof of the product bound at radius r.
 
@@ -891,7 +896,7 @@ def verify_thm5(grid: ScanGrid, r: Optional[float] = None) -> VerdictReport:
     """
     upper = _family_peak(_thm5_family_lhs, R_HI, grid)
     rows = _thm5_rows(grid, R_THM5 if r is None else r, x_of_a(0.6), upper)
-    return VerdictReport.from_instances("thm5", rows, grid.tolerance)
+    return VerdictReport.from_instances("thm5", rows, DEFAULT_TOL)
 
 
 def _thm5_rows(
@@ -936,8 +941,8 @@ def _thm5_rows(
         )
     )
     if abs(r - R_THM5) < 1e-12:
-        fit = _case1_q_fit(r)
-        for j, (got, printed) in enumerate(zip(fit, THM5_CASE1_PRINTED_DECIMALS)):
+        q = -4.0 * case1_poly_coeffs(r)[2:]  # -4 P(y)/y^2, y^0 .. y^5
+        for j, (got, printed) in enumerate(zip(q, THM5_CASE1_PRINTED_DECIMALS)):
             instances.append(
                 _budget(
                     "thm5",
@@ -1011,12 +1016,14 @@ def sharpness_scan(bound_id: str, r: float, grid: ScanGrid) -> VerdictReport:
     """
     if bound_id not in ("thm2", "thm5"):
         raise ValueError("sharpness scans support bound ids 'thm2' and 'thm5'")
+    if not 0.0 < r < 1.0:
+        raise ValueError("r must lie in (0, 1)")
     peak, arg = _family_peak(_FAMILY_LHS[bound_id], r, grid)
     rhs = RHS_SCALE[bound_id] * r**4
     inst = BoundEvaluation(
         bound_id, f"scan/r={r:.8f}", {"r": r, "x": arg}, peak, rhs
     )
-    return VerdictReport.from_instances(f"scan_{bound_id}", [inst], grid.tolerance)
+    return VerdictReport.from_instances(f"scan_{bound_id}", [inst], DEFAULT_TOL)
 
 
 def crossing_radius(
@@ -1038,10 +1045,11 @@ def crossing_radius(
 
 
 # ---------------------------------------------------------------------------
-# suite runners (one per report tag)
+# suite runners (one per report tag): each returns its suite's rows, and
+# run_suite judges them once
 
 
-def _suite_basic(grid: ScanGrid) -> VerdictReport:
+def _suite_basic(grid: ScanGrid) -> List[BoundEvaluation]:
     from .series import circle_mean_square, derivative_series
 
     rng = np.random.default_rng((grid.seed, 0))
@@ -1085,10 +1093,10 @@ def _suite_basic(grid: ScanGrid) -> VerdictReport:
                 bound_basic(r),
             )
         )
-    return VerdictReport.from_instances("basic", instances, grid.tolerance)
+    return instances
 
 
-def _suite_prop1(grid: ScanGrid) -> VerdictReport:
+def _suite_prop1(grid: ScanGrid) -> List[BoundEvaluation]:
     rng = np.random.default_rng((grid.seed, 1))
     instances: List[BoundEvaluation] = []
     for n in range(1, 7):
@@ -1128,7 +1136,7 @@ def _suite_prop1(grid: ScanGrid) -> VerdictReport:
                     cap_w,
                 )
             )
-    return VerdictReport.from_instances("prop1", instances, grid.tolerance)
+    return instances
 
 
 _THM1_XS = (0.1, 0.2, 0.3)
@@ -1151,12 +1159,7 @@ def _thm1_rows(
     return shared["thm1"]
 
 
-def _suite_thm1_B(grid: ScanGrid, shared: Dict[str, object]) -> VerdictReport:
-    instances = _thm1_rows(grid, shared)["thm1_B"]
-    return VerdictReport.from_instances("thm1_B", instances, grid.tolerance)
-
-
-def _suite_thm1_B2(grid: ScanGrid, shared: Dict[str, object]) -> VerdictReport:
+def _suite_thm1_B2(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluation]:
     instances = list(_thm1_rows(grid, shared)["thm1_B2"])
     for x in (0.05, 0.1, 0.15, 0.2, 0.25):
         a2 = a_of_x(x) ** 2
@@ -1178,19 +1181,14 @@ def _suite_thm1_B2(grid: ScanGrid, shared: Dict[str, object]) -> VerdictReport:
                     1e-8,
                 )
             )
-    return VerdictReport.from_instances("thm1_B2", instances, grid.tolerance)
+    return instances
 
 
-def _suite_thm2(grid: ScanGrid) -> VerdictReport:
+def _suite_thm2(grid: ScanGrid) -> List[BoundEvaluation]:
     instances: List[BoundEvaluation] = []
     for r in (THM2_R_LO, 0.55, R_HI):
-        instances += _prefixed(f"r={r:.6f}", verify_thm2(r, x_steps=1000).instances)
-    return VerdictReport.from_instances("thm2", instances, grid.tolerance)
-
-
-def _suite_thm3(grid: ScanGrid) -> VerdictReport:
-    report = verify_thm3(x_steps=1000)
-    return VerdictReport.from_instances("thm3", report.instances, grid.tolerance)
+        instances += _prefixed(f"r={r:.6f}", _thm2_rows(r))
+    return instances
 
 
 def _phi_weighted_functional(phi: CoefficientSeries, r: float) -> float:
@@ -1211,12 +1209,10 @@ def _cor1_tail_certificate(a: float, r: float, n: int) -> float:
     if w >= 1.0:
         raise ValueError("weight ratio must stay below 1")
     lead = ((9.0 - 4.0 * a * a) / 6.0) ** 2
-    if w == 0.0:
-        return 0.0
     return lead * w ** (n + 2) / (3.0 * (n + 2) * (1.0 - w))
 
 
-def _suite_cor1(grid: ScanGrid) -> VerdictReport:
+def _suite_cor1(grid: ScanGrid) -> List[BoundEvaluation]:
     rng = np.random.default_rng((grid.seed, 2))
     n = grid.truncation
     instances: List[BoundEvaluation] = []
@@ -1280,42 +1276,30 @@ def _suite_cor1(grid: ScanGrid) -> VerdictReport:
         u = v - np.diff(np.concatenate(([0.0], d)))
         k = np.arange(1, m + 1, dtype=np.float64)
         lam = (3.0 * lam_r * lam_r) ** k / k
-        report = abel_weighted_dominance(u, v, lam, grid.tolerance)
-        inst = report.instances[0]
-        instances.append(
-            dataclasses.replace(
-                inst, bound_id="cor1", instance_id=f"abel/t{t:02d}"
-            )
-        )
-    return VerdictReport.from_instances("cor1", instances, grid.tolerance)
+        instances.append(_abel_row("cor1", f"abel/t{t:02d}", u, v, lam))
+    return instances
 
 
-def _suite_cor2(grid: ScanGrid) -> VerdictReport:
-    report = verify_cor2(200, 200)
-    return VerdictReport.from_instances("cor2", report.instances, grid.tolerance)
-
-
-def _suite_thm5(grid: ScanGrid) -> VerdictReport:
+def _suite_thm5(grid: ScanGrid) -> List[BoundEvaluation]:
     x_case = x_of_a(0.6)
     upper = _family_peak(_thm5_family_lhs, R_HI, grid)
-    if grid.r_values:
-        instances: List[BoundEvaluation] = []
-        for r in grid.r_values:
-            instances += _prefixed(f"r={r:.6f}", _thm5_rows(grid, r, x_case, upper))
-    else:
-        instances = _thm5_rows(grid, R_THM5, x_case, upper)
-    return VerdictReport.from_instances("thm5", instances, grid.tolerance)
+    if not grid.r_values:
+        return _thm5_rows(grid, R_THM5, x_case, upper)
+    instances: List[BoundEvaluation] = []
+    for r in grid.r_values:
+        instances += _prefixed(f"r={r:.6f}", _thm5_rows(grid, r, x_case, upper))
+    return instances
 
 
-_SUITE_RUNNERS: Dict[str, Callable[..., VerdictReport]] = {
+_SUITE_RUNNERS: Dict[str, Callable[..., List[BoundEvaluation]]] = {
     "basic": _suite_basic,
     "prop1": _suite_prop1,
-    "thm1_B": _suite_thm1_B,
+    "thm1_B": lambda grid, shared: _thm1_rows(grid, shared)["thm1_B"],
     "thm1_B2": _suite_thm1_B2,
     "thm2": _suite_thm2,
-    "thm3": _suite_thm3,
+    "thm3": lambda grid: _thm3_rows(),
     "cor1": _suite_cor1,
-    "cor2": _suite_cor2,
+    "cor2": lambda grid: _cor2_rows(),
     "thm5": _suite_thm5,
 }
 
@@ -1323,10 +1307,13 @@ _SUITE_RUNNERS: Dict[str, Callable[..., VerdictReport]] = {
 def run_suite(
     suite_id: str, grid: ScanGrid, shared: Optional[Dict[str, object]] = None
 ) -> VerdictReport:
-    """Run one certification suite by its report tag.  The thm1_B and thm1_B2
-    suites share their thm1 rows through ``shared``, one dict per run."""
+    """Run one certification suite by its report tag and judge its rows under
+    ``grid.tolerance``.  The thm1_B and thm1_B2 suites share their thm1 rows
+    through ``shared``, one dict per run."""
     if suite_id not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite id {suite_id!r}; known: {ALL_SUITES}")
     if suite_id in ("thm1_B", "thm1_B2"):
-        return _SUITE_RUNNERS[suite_id](grid, {} if shared is None else shared)
-    return _SUITE_RUNNERS[suite_id](grid)
+        rows = _SUITE_RUNNERS[suite_id](grid, {} if shared is None else shared)
+    else:
+        rows = _SUITE_RUNNERS[suite_id](grid)
+    return VerdictReport.from_instances(suite_id, rows, grid.tolerance)

@@ -1,6 +1,7 @@
 """Closed-form right-hand sides, contact radii, validity intervals, pass rule."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -124,6 +125,15 @@ class TestLogarithmicBound:
         for a in (0.3, 0.6, 0.9):
             ref = (9.0 - 4.0 * a * a) ** 2 / 24.0
             assert bound_cor1(a, 1e-3) / 1e-12 == pytest.approx(ref, rel=1e-5)
+
+    def test_tiny_radius_without_cancellation(self):
+        a, r = 0.2, 1e-6
+        with localcontext() as ctx:
+            ctx.prec = 50
+            t = 4 * Decimal(a) ** 2 * Decimal(r) ** 2 / 3
+            scale = 3 * (9 - 4 * Decimal(a) ** 2) ** 2 / (64 * Decimal(a) ** 4)
+            ref = scale * (-(1 - t).ln() - t)
+        assert abs(Decimal(bound_cor1(a, r)) - ref) <= Decimal("1e-13") * ref
 
     def test_domain(self):
         with pytest.raises(ValueError):

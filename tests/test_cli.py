@@ -300,6 +300,15 @@ class TestScanCommand:
         body = (tmp_path / "s.csv").read_text().splitlines()
         assert body[0] == "r,max_lhs,rhs,slack,x_at_max"
 
+    @pytest.mark.parametrize("grid", ["0.5:1.5:3", "0.5:1:3", "0:0.4:3"])
+    def test_radii_outside_unit_interval_exit_2(self, capsys, grid):
+        rc, out, err = run_cli(
+            capsys, "scan", "--target", "thm5_sharpness", "--grid", grid
+        )
+        assert rc == 2
+        assert err.startswith("usage error:")
+        assert out == ""
+
     def test_unknown_target_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "scan", "--target", "problem9")
         assert rc == 2

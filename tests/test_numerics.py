@@ -1,12 +1,22 @@
 """Scalar numerics: bisection, sign scanning, golden-section search, quadrature."""
 
 import math
+from decimal import Decimal, localcontext
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochsums import bisect, golden_max, remark6_poly, sign_changes, trapezoid
+from blochsums.numerics import _log1m_tail
+
+
+def log1m_tail_50_digits(t: Decimal) -> Decimal:
+    """-log(1 - t) - t at 50 significant digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return -(1 - t).ln() - t
 
 
 class TestBisect:
@@ -98,3 +108,16 @@ class TestTrapezoid:
     def test_subinterval_validation(self):
         with pytest.raises(ValueError):
             trapezoid(lambda x: x, 0.0, 1.0, 0)
+
+
+class TestLog1mTail:
+    def test_relative_error_on_unit_interval(self):
+        # Both branches: the series below 0.01 and the direct form above.
+        ts = np.concatenate((np.logspace(-12, math.log10(0.9), 600), [0.01, 0.9]))
+        for t in ts:
+            ref = log1m_tail_50_digits(Decimal(float(t)))
+            got = Decimal(_log1m_tail(float(t)))
+            assert abs(got - ref) <= Decimal("1e-13") * ref, t
+
+    def test_zero(self):
+        assert _log1m_tail(0.0) == 0.0

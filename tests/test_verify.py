@@ -30,7 +30,13 @@ from blochsums import (
 )
 from blochsums.bounds import THM2_R_LO, R_HI
 from blochsums.families import f_n_prime
-from blochsums.verify import _compose_horner, _random_bloch_prime, _random_schwarz
+from blochsums.verify import (
+    DEFAULT_TOL,
+    _compose_horner,
+    _random_bloch_prime,
+    _random_schwarz,
+    case1_poly_coeffs,
+)
 
 
 class TestSchwarzSpec:
@@ -229,6 +235,12 @@ class TestTheoremSuites:
         assert failing == ["case2/argmax_location"]
         assert not report.passed
 
+    def test_case1_low_coefficients_vanish_at_threshold(self):
+        # What makes -4 P(y)/y^2 the polynomial of the printed decimals.
+        p = case1_poly_coeffs(R_THM5)
+        assert abs(p[0]) <= 1e-14
+        assert abs(p[1]) <= 1e-14
+
     def test_thm5_below_threshold_shows_violation(self, light_grid):
         report = verify_thm5(light_grid, R_THM5 - 0.01)
         failing = {
@@ -264,6 +276,8 @@ class TestSuiteRunners:
         report = run_suite(suite, light_grid)
         assert report.suite_id == suite
         assert report.instances
+        # The thm1 rows are split between thm1_B and thm1_B2 by bound id.
+        assert {inst.bound_id for inst in report.instances} == {suite}
         if suite == "thm5":
             assert not report.passed  # the known open maximizer-location gap
         else:
@@ -290,3 +304,51 @@ class TestSuiteRunners:
             ScanGrid(sample_count=0)
         with pytest.raises(ValueError):
             ScanGrid(tolerance=0.0)
+        for bad in (
+            dict(tolerance=math.nan),
+            dict(tolerance=math.inf),
+            dict(x_range=(-0.1, 0.3, 10)),
+            dict(x_range=(0.1, 0.9, 10)),
+            dict(x_range=(0.1, math.nan, 10)),
+            dict(r_values=(0.38, 1.0)),
+            dict(r_values=(0.0,)),
+            dict(r_values=(math.nan,)),
+            dict(seed=-1),
+        ):
+            with pytest.raises(ValueError):
+                ScanGrid(**bad)
+
+
+class TestSuitesJudgeOnce:
+    """Suites return rows and run_suite judges them under grid.tolerance; the
+    standalone functions build the same rows and judge at DEFAULT_TOL."""
+
+    grid = ScanGrid(tolerance=1e-20)
+
+    def check_judged(self, report, tol):
+        assert report.tolerance == tol
+        assert report.passed == all(i.passes(tol) for i in report.instances)
+
+    def test_thm2_rows_are_the_prefixed_standalone_rows(self):
+        report = run_suite("thm2", self.grid)
+        expected = []
+        for r in (THM2_R_LO, 0.55, R_HI):
+            alone = verify_thm2(r)
+            self.check_judged(alone, DEFAULT_TOL)
+            expected += [
+                dataclasses.replace(i, instance_id=f"r={r:.6f}/{i.instance_id}")
+                for i in alone.instances
+            ]
+        assert report.instances == expected
+        self.check_judged(report, 1e-20)
+
+    @pytest.mark.parametrize(
+        "suite, standalone",
+        [("thm3", lambda: verify_thm3()), ("cor2", lambda: verify_cor2(200, 200))],
+    )
+    def test_rows_equal_the_standalone_rows(self, suite, standalone):
+        report = run_suite(suite, self.grid)
+        alone = standalone()
+        assert report.instances == alone.instances
+        self.check_judged(report, 1e-20)
+        self.check_judged(alone, DEFAULT_TOL)
