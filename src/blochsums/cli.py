@@ -180,8 +180,8 @@ def _parse_grid(value: str) -> Tuple[float, float, int]:
     lo = _parse_float("grid lo", parts[0])
     hi = _parse_float("grid hi", parts[1])
     steps = _parse_int("grid steps", parts[2])
-    if not lo < hi or steps < 2:
-        raise UsageError("grid requires lo < hi and steps >= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi or steps < 2:
+        raise UsageError("grid requires finite lo < hi and steps >= 2")
     return (lo, hi, steps)
 
 

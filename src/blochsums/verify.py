@@ -218,8 +218,10 @@ class ScanGrid:
             raise ValueError("sample_count must be positive")
         if self.truncation < 8:
             raise ValueError("truncation must be at least 8")
-        if self.r_values is not None and not all(0.0 < r < 1.0 for r in self.r_values):
-            raise ValueError("r_values must lie in (0, 1)")
+        if self.r_values is not None and not (
+            self.r_values and all(0.0 < r < 1.0 for r in self.r_values)
+        ):
+            raise ValueError("r_values must name at least one radius, each in (0, 1)")
 
     def x_grid(self) -> np.ndarray:
         lo, hi, steps = self.x_range
@@ -270,8 +272,10 @@ def make_subordinate(
     """Coefficients of base composed with w, truncated at order n.
 
     Because w(0) = 0, base terms of index m contribute only to orders >= m,
-    so the truncated Horner recursion is exact through order n.  Rotations
-    and monomials take shortcuts that give Horner's result bit for bit.  The
+    so the truncated Horner recursion is exact through order n, and each
+    step need only carry the orders it can still pass on: step m works on a
+    window of n-m+1 coefficients (see ``_compose_horner``).  Rotations and
+    monomials take shortcuts that give Horner's result bit for bit.  The
     constant term is preserved, and when base is the derivative of a class
     member the composition stays in the class: |base(w(z))| is dominated by
     the maximum of |base| on the subdisc of radius |z|.
@@ -288,13 +292,28 @@ def make_subordinate(
 
 
 def _compose_horner(b: np.ndarray, wc: np.ndarray, n: int) -> np.ndarray:
-    """Truncated Horner recursion for b composed with w (w(0) = 0)."""
+    """Truncated Horner recursion for b composed with w (w(0) = 0), over a
+    shrinking window.
+
+    Once b_m is folded in, m more multiplications by w remain, and each
+    raises the valuation by at least one, so only orders 0..n-m of the
+    accumulator can reach the result and terms b_m with m > n never do.
+    Step m convolves the accumulator, padded with one zero to length
+    n-m+1, with wc[:n-m+1] and keeps that many entries.  This gives the
+    full-length recursion's result bit for bit: entry k of ``np.convolve``
+    is one dot product of length k+1 over acc[0..k] and wc[k..0] whatever
+    the input lengths, and the padded entry meets only wc[0] == 0.
+    """
     if wc[0] != 0.0:
         raise ValueError("Schwarz coefficients must vanish at the origin")
-    acc = np.zeros(n + 1, dtype=np.complex128)
-    for c in b[::-1]:
-        acc = np.convolve(acc, wc)[: n + 1]
-        acc[0] += c
+    top = min(b.size, n + 1) - 1
+    buf = np.zeros(n + 1, dtype=np.complex128)  # buf[window - 1:] is never written
+    acc = buf[: n - top]
+    for m in range(top, -1, -1):
+        window = n - m + 1
+        buf[: window - 1] = acc
+        acc = np.convolve(buf[:window], wc[:window])[:window]
+        acc[0] += b[m]
     return acc
 
 
@@ -1283,7 +1302,7 @@ def _suite_cor1(grid: ScanGrid) -> List[BoundEvaluation]:
 def _suite_thm5(grid: ScanGrid) -> List[BoundEvaluation]:
     x_case = x_of_a(0.6)
     upper = _family_peak(_thm5_family_lhs, R_HI, grid)
-    if not grid.r_values:
+    if grid.r_values is None:
         return _thm5_rows(grid, R_THM5, x_case, upper)
     instances: List[BoundEvaluation] = []
     for r in grid.r_values:

@@ -134,6 +134,7 @@ class TestVerifyCommand:
             ("--suite", "thm2", "--tol", "nan"),
             ("--suite", "basic", "--seed", "-1"),
             ("--suite", "thm5", "--r-values", "1.5"),
+            ("--suite", "thm5", "--r-values", ","),
             ("--suite", "thm5", "--grid", "0.1:0.9:10"),
         ],
     )
@@ -142,6 +143,15 @@ class TestVerifyCommand:
         assert rc == 2
         assert err.startswith("usage error:")
         assert out == ""
+
+    def test_empty_radius_list_in_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"suite = thm5\nr_values = ,\nout = {tmp_path}/rep\n")
+        rc, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert rc == 2
+        assert err.startswith("usage error:")
+        assert out == ""
+        assert not (tmp_path / "rep").exists()
 
     def test_thm1_composed_once_per_run(self, tmp_path, monkeypatch):
         calls = []
@@ -240,6 +250,13 @@ class TestTableCommand:
         rc, _, err = run_cli(capsys, "table", "--bounds", "thm1_B", "--grid", "0:0.3:3")
         assert rc == 2
         assert "--x" in err
+
+    @pytest.mark.parametrize("grid", ["0.1:inf:3", "-inf:0.5:3", "0.1:nan:3"])
+    def test_non_finite_grid_exits_2(self, capsys, grid):
+        rc, out, err = run_cli(capsys, "table", "--bounds", "thm2", f"--grid={grid}")
+        assert rc == 2
+        assert err.startswith("usage error:")
+        assert out == ""
 
     def test_unknown_bound_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "table", "--bounds", "thm7", "--grid", "0:0.3:3")

@@ -32,7 +32,6 @@ from blochsums.bounds import THM2_R_LO, R_HI
 from blochsums.families import f_n_prime
 from blochsums.verify import (
     DEFAULT_TOL,
-    _compose_horner,
     _random_bloch_prime,
     _random_schwarz,
     case1_poly_coeffs,
@@ -112,15 +111,27 @@ class TestMakeSubordinate:
             make_subordinate(f, SchwarzSpec("monomial", (), degree=2), 8)
 
 
-class TestCompositionFastPaths:
-    """Rotations and monomials skip the Horner recursion; since reports print
-    17 significant digits, their coefficients must equal Horner's exactly."""
+def _horner_oracle(b, wc, n):
+    """Full-length truncated Horner recursion: every step convolves two
+    length-(n+1) arrays and keeps the first n+1 entries."""
+    acc = np.zeros(n + 1, dtype=np.complex128)
+    for c in b[::-1]:
+        acc = np.convolve(acc, wc)[: n + 1]
+        acc[0] += c
+    return acc
 
-    @pytest.mark.parametrize("n", [48, 64, 256])
+
+class TestCompositionFastPaths:
+    """make_subordinate must reproduce the full-length Horner recursion
+    exactly, since reports print 17 significant digits: Blaschke products
+    (the shrinking-window recursion) bit for bit, rotations and monomials
+    (shortcuts that skip the recursion) up to the sign of exact zeros."""
+
+    @pytest.mark.parametrize("n", [8, 48, 64, 256])
     def test_equal_to_horner_oracle(self, n):
         rng = np.random.default_rng(n)
         bases = [
-            g_prime_coeffs(float(rng.uniform(0.02, 0.55)), n),
+            g_prime_coeffs(float(rng.uniform(0.02, 0.55)), n),  # n + 1 terms
             g_prime_coeffs(0.3, n + 17),  # longer than n + 1
             h_series(float(rng.uniform(0.15, 0.9)), n),
             f_n_prime(int(rng.integers(1, 7))),  # shorter than n + 1
@@ -130,12 +141,24 @@ class TestCompositionFastPaths:
             for _ in range(3)
         ]
         specs += [SchwarzSpec("monomial", (), degree=d) for d in (1, 2, 3, 4, n + 1)]
+        specs += [
+            SchwarzSpec(
+                "blaschke_product",
+                tuple(complex(z) for z in rng.uniform(-0.6, 0.6, (k, 2)) @ (1, 1j)),
+            )
+            for k in (1, 2, 3)
+        ]
         for base in bases:
             for spec in specs:
                 fast = make_subordinate(base, spec, n).coeffs
-                oracle = _compose_horner(base.coeffs, spec.coeffs(n), n)
+                oracle = _horner_oracle(base.coeffs, spec.coeffs(n), n)
                 assert fast.shape == (n + 1,)
-                assert np.array_equal(fast, oracle), (spec, base.order)
+                if spec.kind == "blaschke_product":
+                    assert np.array_equal(
+                        fast.view(np.uint64), oracle.view(np.uint64)
+                    ), (spec, base.order)
+                else:
+                    assert np.array_equal(fast, oracle), (spec, base.order)
 
 
 class TestRogosinskiDominance:
@@ -313,6 +336,7 @@ class TestSuiteRunners:
             dict(r_values=(0.38, 1.0)),
             dict(r_values=(0.0,)),
             dict(r_values=(math.nan,)),
+            dict(r_values=()),
             dict(seed=-1),
         ):
             with pytest.raises(ValueError):
