@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .numerics import _log1m_tail
+from .numerics import _libm_pow, _log1m_tail
 
 __all__ = [
     "SQRT3",
@@ -165,29 +165,35 @@ def r_admissible(x: float) -> float:
     return (R_HI - x) / (1.0 - x * R_HI)
 
 
-def _thm1_B_raw(x: float, r: float) -> float:
+def _thm1_B_raw(x, r: float):
     """Family area sum (weight k^2 r^{2k}) as a closed form, no interval gate.
 
     Equals the coefficient sum of the family member for every x r < 1; the
     admissibility gate below applies only when the value is used as a bound
-    for the whole class.
+    for the whole class.  x may be a float or an array; an array gives each
+    element the bits of the scalar call, its power taken by ``_libm_pow``.
+    The inline type test keeps the scalar call (the integrand of the
+    ``thm1_B2`` trapezoid) as cheap as a plain ``d**5``.
     """
     x2 = x * x
     r2 = r * r
     one_m_x2 = 1.0 - x2
     d = 1.0 - r2 * x2
     numerator = (r2 + x2) * d * d - 6.0 * r2 * x2 * one_m_x2 * (1.0 - r2)
-    return 27.0 * r2 * one_m_x2 * one_m_x2 * numerator / (4.0 * d**5)
+    d5 = d**5 if isinstance(d, float) else _libm_pow(d, 5)
+    return 27.0 * r2 * one_m_x2 * one_m_x2 * numerator / (4.0 * d5)
 
 
-def _thm1_B2_raw(x: float, r: float) -> float:
-    """Family area sum (weight k r^{2k}) as a closed form, no interval gate."""
+def _thm1_B2_raw(x, r: float):
+    """Family area sum (weight k r^{2k}) as a closed form, no interval gate;
+    x a float or an array, as for ``_thm1_B_raw``."""
     x2 = x * x
     r2 = r * r
     one_m_x2 = 1.0 - x2
     d = 1.0 - r2 * x2
     numerator = 3.0 * x2 * (1.0 - r2) ** 2 + d * (r2 - x2)
-    return 27.0 * r2 * one_m_x2 * one_m_x2 * numerator / (8.0 * d**4)
+    d4 = d**4 if isinstance(d, float) else _libm_pow(d, 4)
+    return 27.0 * r2 * one_m_x2 * one_m_x2 * numerator / (8.0 * d4)
 
 
 def _check_thm1_domain(x: float, r: float) -> None:

@@ -309,8 +309,7 @@ def _table_value(bound_id: str, x: Optional[float], r: float) -> float:
     if bound_id == "basic":
         return bound_basic(r)
     if bound_id == "prop1":
-        n = 1 if x is None else int(round(x))
-        return bound_prop1(n, r)
+        return bound_prop1(1 if x is None else int(x), r)
     if bound_id == "thm1_B":
         if x is None:
             raise UsageError("thm1_B needs --x (the family parameter)")
@@ -341,6 +340,17 @@ _TABLE_BOUNDS = (
 )
 
 
+def _check_prop1_order(x: float) -> None:
+    """``--x`` names prop1's index n: an integer n >= 1 whose constant
+    (n+2)^(n+2) / (4 n^n) is a finite float (n <= 141)."""
+    if not (math.isfinite(x) and x >= 1.0 and x == int(x)):
+        raise UsageError(f"prop1 needs --x to be an integer n >= 1, got {x!r}")
+    try:
+        bound_prop1(int(x), 0.0)
+    except OverflowError:
+        raise UsageError(f"prop1's constant overflows for n = {int(x)}") from None
+
+
 def cmd_table(
     bound_ids: Sequence[str],
     r_range: Tuple[float, float, int],
@@ -354,6 +364,8 @@ def cmd_table(
             raise UsageError(
                 f"unknown bound id {bid!r}; known: {', '.join(_TABLE_BOUNDS)}"
             )
+    if "prop1" in bound_ids and x is not None:
+        _check_prop1_order(x)
     lo, hi, steps = r_range
     radii = np.linspace(lo, hi, steps)
     lines = ["bound_id,x,r,value"]

@@ -62,6 +62,11 @@ def a_of_x(x: float) -> float:
     """
     if not 0.0 <= x <= X_SUP:
         raise ValueError("x must lie in [0, 1/sqrt(3)]")
+    return _a_of_x_raw(x)
+
+
+def _a_of_x_raw(x):
+    """``a_of_x`` without the range check; x a float or an array."""
     return 1.5 * _SQRT3 * x * (1.0 - x * x)
 
 

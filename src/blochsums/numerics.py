@@ -1,5 +1,6 @@
 """Scalar numerical kernel: bracketing root finder, sign-change scanner,
-golden-section maximizer, and composite trapezoid quadrature.
+golden-section maximizer, and composite trapezoid quadrature.  One array
+helper, ``_libm_pow``, lets the closed forms take an x grid in one call.
 
 Everything here is pure and deterministic.  Bisection is preferred wherever
 a bracket exists because its convergence is unconditional, and none of the
@@ -14,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Tuple
+
+import numpy as np
 
 __all__ = [
     "RootResult",
@@ -44,6 +47,14 @@ def _log1m_tail(t: float) -> float:
     s = t / (2.0 - t)
     s2 = s * s
     return t * t / (2.0 - t) + 2.0 * s * s2 * (1.0 / 3.0 + s2 / 5.0 + s2 * s2 / 7.0)
+
+
+def _libm_pow(values: np.ndarray, k: int) -> np.ndarray:
+    """values ** k element by element through Python's float pow (the C
+    library's pow), so each element has the bits a scalar evaluation gives.
+    NumPy's vector ``**`` may take a SIMD path that rounds some elements
+    differently; + - * / round the same in NumPy and in Python."""
+    return np.array([v**k for v in values.tolist()])
 
 
 @dataclass(frozen=True)

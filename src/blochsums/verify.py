@@ -51,6 +51,7 @@ from .bounds import (
 from .families import (
     X_GUARD,
     X_SUP,
+    _a_of_x_raw,
     a_of_x,
     b2_max,
     f_n_prime,
@@ -58,7 +59,14 @@ from .families import (
     h_series,
     x_of_a,
 )
-from .numerics import _log1m_tail, bisect, golden_max, sign_changes, trapezoid
+from .numerics import (
+    _libm_pow,
+    _log1m_tail,
+    bisect,
+    golden_max,
+    sign_changes,
+    trapezoid,
+)
 from .series import (
     KIND_DERIVATIVE,
     CoefficientSeries,
@@ -510,9 +518,12 @@ def _family_peak(
     r: float,
     grid: ScanGrid,
 ) -> Tuple[float, float]:
-    """Maximum of a family functional over the x grid, golden-refined."""
+    """Maximum of a family functional over the x grid, golden-refined.
+
+    The grid is evaluated in one array call, which gives the bits of the
+    per-point scalar calls; the golden refinement calls it with floats."""
     xs = grid.x_grid()
-    vals = np.array([functional(x, r) for x in xs])
+    vals = functional(xs, r)
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, xs.size - 1)]
@@ -523,8 +534,8 @@ def _family_peak(
     return float(vals[i]), float(xs[i])
 
 
-def _thm5_family_lhs(x: float, r: float) -> float:
-    a = a_of_x(x)
+def _thm5_family_lhs(x, r: float):
+    a = _a_of_x_raw(x)
     return (1.0 - a * a) * bounds._thm1_B2_raw(x, r)
 
 
@@ -918,6 +929,22 @@ def verify_thm5(grid: ScanGrid, r: Optional[float] = None) -> VerdictReport:
     return VerdictReport.from_instances("thm5", rows, DEFAULT_TOL)
 
 
+def _thm5_case2_lhs(a, r: float):
+    """Case-2 product bound of thm5 for the first coefficient a (a float or
+    an array): (1 - a^2)(a^2 r^2 + ((9 - 4a^2)^2 / 12)(log(1/(1-r^2)) - r^2))."""
+    r2 = r * r
+    log_term = math.log(1.0 / (1.0 - r2)) - r2
+    q = 9.0 - 4.0 * a * a
+    q2 = q**2 if isinstance(q, float) else _libm_pow(q, 2)
+    return (1.0 - a * a) * (a * a * r2 + (q2 / 12.0) * log_term)
+
+
+def _thm5_case3_lhs(a, r: float):
+    """Case-3 product (1 - a^2)(a^2 r^2 + (27/8) r^4); a a float or an array."""
+    r2 = r * r
+    return (1.0 - a * a) * (a * a * r2 + 27.0 * r2 * r2 / 8.0)
+
+
 def _thm5_rows(
     grid: ScanGrid, r: float, x_case: float, upper: Tuple[float, float]
 ) -> List[BoundEvaluation]:
@@ -948,7 +975,7 @@ def _thm5_rows(
     )
     x_hi = min(0.25, r_admissible(r) - 1e-9)
     xs = np.linspace(X_GUARD, x_hi, 400)
-    dvals = np.array([_thm5_family_lhs(x, r) - rhs for x in xs])
+    dvals = _thm5_family_lhs(xs, r) - rhs
     i_max = int(np.argmax(dvals))
     instances.append(
         BoundEvaluation(
@@ -973,15 +1000,8 @@ def _thm5_rows(
             )
 
     # Case 2: logarithmic envelope on 3/5 <= a <= 3/4.
-    log_term = math.log(1.0 / (1.0 - r2)) - r2
-
-    def case2_objective(a: float) -> float:
-        return (1.0 - a * a) * (
-            a * a * r2 + ((9.0 - 4.0 * a * a) ** 2 / 12.0) * log_term
-        )
-
-    pre = np.array([case2_objective(a) for a in np.linspace(0.6, 0.75, 200)])
-    arg2, val2 = golden_max(case2_objective, 0.6, 0.75, tol=1e-12)
+    pre = _thm5_case2_lhs(np.linspace(0.6, 0.75, 200), r)
+    arg2, val2 = golden_max(lambda a: _thm5_case2_lhs(a, r), 0.6, 0.75, tol=1e-12)
     best2 = max(val2, float(np.max(pre)))
     instances.append(
         BoundEvaluation("thm5", "case2/max_value", {"r": r, "a": arg2}, best2, rhs)
@@ -997,11 +1017,8 @@ def _thm5_rows(
     )
 
     # Case 3: direct maximization on 3/4 <= a <= 1.
-    def case3_objective(a: float) -> float:
-        return (1.0 - a * a) * (a * a * r2 + rhs)
-
-    pre3 = np.array([case3_objective(a) for a in np.linspace(0.75, 1.0, 200)])
-    arg3, val3 = golden_max(case3_objective, 0.75, 1.0, tol=1e-12)
+    pre3 = _thm5_case3_lhs(np.linspace(0.75, 1.0, 200), r)
+    arg3, val3 = golden_max(lambda a: _thm5_case3_lhs(a, r), 0.75, 1.0, tol=1e-12)
     best3 = max(val3, float(np.max(pre3)))
     instances.append(
         BoundEvaluation("thm5", "case3/max_value", {"r": r, "a": arg3}, best3, rhs)

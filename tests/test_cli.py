@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from blochsums import R_THM5, bound_basic, bound_thm1_B, verify
+from blochsums import R_THM5, bound_basic, bound_prop1, bound_thm1_B, verify
 from blochsums.cli import RunConfig, UsageError, cmd_verify, main
 
 
@@ -257,6 +257,31 @@ class TestTableCommand:
         assert rc == 2
         assert err.startswith("usage error:")
         assert out == ""
+
+    @pytest.mark.parametrize("x", ["inf", "nan", "1e6", "142", "2.5", "0", "-1"])
+    def test_invalid_prop1_order_exits_2(self, capsys, x):
+        rc, out, err = run_cli(
+            capsys, "table", "--bounds", "basic,prop1", f"--x={x}", "--grid", "0:0.5:3"
+        )
+        assert rc == 2
+        assert err.startswith("usage error:")
+        assert out == ""
+
+    @pytest.mark.parametrize("x", ["3", "3.0", "141"])
+    def test_prop1_rows_for_integral_x(self, capsys, x):
+        rc, out, _ = run_cli(
+            capsys, "table", "--bounds", "prop1", f"--x={x}", "--grid", "0.05:0.9:20"
+        )
+        assert rc == 0
+        n = int(float(x))
+        for row in out.strip().splitlines()[1:]:
+            _, x_cell, r_cell, val_cell = row.split(",")
+            assert float(x_cell) == n
+            try:
+                expected = format(bound_prop1(n, float(r_cell)), ".17g")
+            except ValueError:
+                expected = "out_of_range"
+            assert val_cell == expected
 
     def test_unknown_bound_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "table", "--bounds", "thm7", "--grid", "0:0.3:3")

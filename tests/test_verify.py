@@ -28,12 +28,20 @@ from blochsums import (
     verify_thm3,
     verify_thm5,
 )
-from blochsums.bounds import THM2_R_LO, R_HI
-from blochsums.families import f_n_prime
+from blochsums import bounds
+from blochsums.bounds import THM2_R_LO, R_HI, r_admissible
+from blochsums.families import X_GUARD, X_SUP, f_n_prime, x_of_a
+from blochsums.numerics import golden_max
 from blochsums.verify import (
+    _FAMILY_LHS,
     DEFAULT_TOL,
+    _family_peak,
     _random_bloch_prime,
     _random_schwarz,
+    _thm5_case2_lhs,
+    _thm5_case3_lhs,
+    _thm5_family_lhs,
+    _thm5_rows,
     case1_poly_coeffs,
 )
 
@@ -291,6 +299,104 @@ class TestSharpnessMachinery:
     def test_unknown_bound_rejected(self, default_grid):
         with pytest.raises(ValueError):
             sharpness_scan("thm3", 0.5, default_grid)
+
+
+def _bits(*values):
+    return np.array(values, dtype=np.float64).view(np.uint64)
+
+
+def _family_peak_oracle(functional, r, grid):
+    """``_family_peak`` as a loop of scalar calls over the x grid: the array
+    call must give the same bits."""
+    xs = grid.x_grid()
+    vals = np.array([functional(x, r) for x in xs])
+    i = int(np.argmax(vals))
+    lo = xs[max(i - 1, 0)]
+    hi = xs[min(i + 1, xs.size - 1)]
+    if lo < hi:
+        arg, val = golden_max(lambda x: functional(x, r), lo, hi, tol=1e-12)
+        if val > vals[i]:
+            return val, arg
+    return float(vals[i]), float(xs[i])
+
+
+class TestArrayClosedForms:
+    """A closed form called with an array of x (or a) must give, element by
+    element, the bits of its scalar calls, with Python floats (golden search,
+    the trapezoid) and with NumPy scalars (a loop over a grid).  NumPy's
+    vector ``**`` would not: it rounds some powers differently."""
+
+    @pytest.mark.parametrize(
+        "form",
+        [
+            bounds._thm1_B_raw,
+            bounds._thm1_B2_raw,
+            _thm5_family_lhs,
+            _thm5_case2_lhs,
+            _thm5_case3_lhs,
+        ],
+    )
+    def test_array_equals_scalar(self, form):
+        rng = np.random.default_rng(2019)
+        xs = np.concatenate(
+            [rng.uniform(0.0, 1.0, 5000), ScanGrid().x_grid(), np.linspace(0.6, 1.0, 400)]
+        )
+        for r in (0.05, 0.3, R_THM5, 0.4, R_HI, 0.9, float(rng.uniform())):
+            got = form(xs, r)
+            assert got.shape == xs.shape
+            floats = np.array([form(x, r) for x in xs.tolist()])
+            scalars = np.array([form(x, r) for x in xs])
+            assert np.array_equal(got.view(np.uint64), floats.view(np.uint64)), r
+            assert np.array_equal(got.view(np.uint64), scalars.view(np.uint64)), r
+
+
+class TestFamilyGridOracles:
+    @pytest.mark.parametrize("bound_id", sorted(_FAMILY_LHS))
+    @pytest.mark.parametrize(
+        "x_range", [ScanGrid().x_range, (0.0, X_SUP, 1000), (0.2, 0.3, 2)]
+    )
+    def test_family_peak_matches_oracle(self, bound_id, x_range):
+        grid = ScanGrid(x_range=x_range)
+        functional = _FAMILY_LHS[bound_id]
+        ends = (float(grid.x_grid()[0]), float(grid.x_grid()[-1]))
+        unrefined_ends = 0
+        for r in np.linspace(0.001, 0.999, 300).tolist():
+            got = _family_peak(functional, r, grid)
+            want = _family_peak_oracle(functional, r, grid)
+            assert np.array_equal(_bits(*got), _bits(*want)), r
+            unrefined_ends += got[1] in ends
+        # Peaks at a grid end that golden search does not improve return the
+        # grid value itself; the radii must cover that branch too.
+        assert unrefined_ends > 0
+
+    def test_thm5_case_rows_match_oracle(self, default_grid):
+        grid_wins = {"case2": 0, "case3": 0}
+        for r in (0.05, 0.2, R_THM5, 0.37, 0.38, 0.5, R_HI):
+            rows = {
+                i.instance_id: i
+                for i in _thm5_rows(default_grid, r, x_of_a(0.6), (1.0, 0.1))
+            }
+            rhs = 27.0 * (r * r) * (r * r) / 8.0
+            xs = np.linspace(X_GUARD, min(0.25, r_admissible(r) - 1e-9), 400)
+            dvals = np.array([_thm5_family_lhs(x, r) - rhs for x in xs])
+            i = int(np.argmax(dvals))
+            row = rows["case1/negativity"]
+            assert np.array_equal(
+                _bits(row.lhs, row.params["x"]), _bits(dvals[i], xs[i])
+            ), r
+            for case, lo, hi, form in (
+                ("case2", 0.6, 0.75, _thm5_case2_lhs),
+                ("case3", 0.75, 1.0, _thm5_case3_lhs),
+            ):
+                pre = np.array([form(a, r) for a in np.linspace(lo, hi, 200)])
+                _, val = golden_max(lambda a: form(a, r), lo, hi, tol=1e-12)
+                best = max(val, float(np.max(pre)))
+                assert np.array_equal(
+                    _bits(rows[f"{case}/max_value"].lhs), _bits(best)
+                ), (case, r)
+                grid_wins[case] += float(np.max(pre)) > val
+        # The grid maximum, not the golden one, sets both rows at some radii.
+        assert min(grid_wins.values()) > 0
 
 
 class TestSuiteRunners:
