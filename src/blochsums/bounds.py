@@ -16,7 +16,11 @@ of the closed forms collected here:
 
 Validity intervals are enforced by raising, never by clamping: each claim is
 interval-conditional and silently evaluating outside would corrupt verdicts.
-All surd constants are evaluated once from integers at import time.
+Each gated bound splits into its gate and an ungated ``_*_raw`` closed form
+that also takes an array of radii (``table`` evaluates a whole column in one
+call); next to each gate, an ``_*_inside`` function copies it as a boolean
+mask over such an array.  All surd constants are evaluated once from
+integers at import time.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .numerics import _libm_pow, _log1m_tail
+import numpy as np
+
+from .numerics import _libm_pow, _log1m_tail, _log1m_tails
 
 __all__ = [
     "SQRT3",
@@ -129,6 +135,16 @@ def bound_basic(r: float) -> float:
     """Parseval envelope 1/(1 - r^2)^2 on [0, 1)."""
     if not 0.0 <= r < 1.0:
         raise ValueError("r must lie in [0, 1)")
+    return _basic_raw(r)
+
+
+def _basic_inside(r: np.ndarray) -> np.ndarray:
+    """``bound_basic``'s gate as a mask over an array of radii."""
+    return (0.0 <= r) & (r < 1.0)
+
+
+def _basic_raw(r):
+    """1/(1 - r^2)^2 with no gate; r a float or an array."""
     one = 1.0 - r * r
     return 1.0 / (one * one)
 
@@ -150,8 +166,20 @@ def bound_prop1(n: int, r: float) -> float:
     rn = r_star(n)
     if not 0.0 <= r <= rn + _EDGE:
         raise ValueError(f"r={r} outside the validity interval [0, {rn}] for n={n}")
+    return _prop1_raw(n, r)
+
+
+def _prop1_inside(n: int, r: np.ndarray) -> np.ndarray:
+    """``bound_prop1``'s gate on r as a mask over an array of radii."""
+    return (0.0 <= r) & (r <= r_star(n) + _EDGE)
+
+
+def _prop1_raw(n: int, r):
+    """Tail constant times r^(2n) with no gate; r a float or an array, whose
+    power ``_libm_pow`` takes."""
     constant = (n + 2.0) ** (n + 2) / (4.0 * float(n) ** n)
-    return constant * r ** (2 * n)
+    r2n = _libm_pow(r, 2 * n) if isinstance(r, np.ndarray) else r ** (2 * n)
+    return constant * r2n
 
 
 def r_admissible(x: float) -> float:
@@ -165,13 +193,14 @@ def r_admissible(x: float) -> float:
     return (R_HI - x) / (1.0 - x * R_HI)
 
 
-def _thm1_B_raw(x, r: float):
+def _thm1_B_raw(x, r):
     """Family area sum (weight k^2 r^{2k}) as a closed form, no interval gate.
 
     Equals the coefficient sum of the family member for every x r < 1; the
     admissibility gate below applies only when the value is used as a bound
-    for the whole class.  x may be a float or an array; an array gives each
-    element the bits of the scalar call, its power taken by ``_libm_pow``.
+    for the whole class.  x or r may be a float or an array; an array gives
+    each element the bits of the scalar call, its powers taken by
+    ``_libm_pow``.
     The inline type test keeps the scalar call (the integrand of the
     ``thm1_B2`` trapezoid) as cheap as a plain ``d**5``.
     """
@@ -184,14 +213,16 @@ def _thm1_B_raw(x, r: float):
     return 27.0 * r2 * one_m_x2 * one_m_x2 * numerator / (4.0 * d5)
 
 
-def _thm1_B2_raw(x, r: float):
+def _thm1_B2_raw(x, r):
     """Family area sum (weight k r^{2k}) as a closed form, no interval gate;
-    x a float or an array, as for ``_thm1_B_raw``."""
+    x or r a float or an array, as for ``_thm1_B_raw``."""
     x2 = x * x
     r2 = r * r
     one_m_x2 = 1.0 - x2
     d = 1.0 - r2 * x2
-    numerator = 3.0 * x2 * (1.0 - r2) ** 2 + d * (r2 - x2)
+    q = 1.0 - r2
+    q2 = q**2 if isinstance(q, float) else _libm_pow(q, 2)
+    numerator = 3.0 * x2 * q2 + d * (r2 - x2)
     d4 = d**4 if isinstance(d, float) else _libm_pow(d, 4)
     return 27.0 * r2 * one_m_x2 * one_m_x2 * numerator / (8.0 * d4)
 
@@ -204,6 +235,14 @@ def _check_thm1_domain(x: float, r: float) -> None:
         raise ValueError(
             f"r={r} outside the admissible interval [0, {r_adm}] for x={x}"
         )
+
+
+def _thm1_inside(x: float, r: np.ndarray) -> np.ndarray:
+    """``_check_thm1_domain`` as a mask over an array of radii: all False
+    when x is outside (0, 1/sqrt(3))."""
+    if not 0.0 < x < R_HI:
+        return np.zeros(r.shape, dtype=bool)
+    return (0.0 <= r) & (r <= r_admissible(x) + _EDGE)
 
 
 def bound_thm1_B(x: float, r: float) -> float:
@@ -235,11 +274,35 @@ def bound_cor1(a: float, r: float) -> float:
         raise ValueError("a must lie in (0, 1)")
     if not 0.0 <= r <= R_HI + _EDGE:
         raise ValueError("r must lie in [0, 1/sqrt(3)]")
-    t = 4.0 * a * a * r * r / 3.0
+    t = _cor1_t(a, r)
     if t >= 1.0:  # cannot occur under the preconditions; kept as a hard guard
         raise ValueError("4 a^2 r^2 / 3 must stay below 1")
+    return _cor1_raw(a, r)
+
+
+def _cor1_inside(a: float, r: np.ndarray) -> np.ndarray:
+    """``bound_cor1``'s gates as a mask over an array of radii: all False
+    when a is outside (0, 1); t is formed only where r passes its gate."""
+    if not 0.0 < a < 1.0:
+        return np.zeros(r.shape, dtype=bool)
+    inside = (0.0 <= r) & (r <= R_HI + _EDGE)
+    inside[inside] = _cor1_t(a, r[inside]) < 1.0
+    return inside
+
+
+def _cor1_t(a: float, r):
+    """t = 4 a^2 r^2 / 3, the argument of B_a's logarithm; r a float or an
+    array."""
+    return 4.0 * a * a * r * r / 3.0
+
+
+def _cor1_raw(a: float, r):
+    """B_a(r) with no gate; r a float or an array, each of whose logarithms
+    goes through ``_log1m_tail``."""
+    t = _cor1_t(a, r)
     scale = 3.0 * (9.0 - 4.0 * a * a) ** 2 / (64.0 * a**4)
-    return scale * _log1m_tail(t)
+    tail = _log1m_tails(t) if isinstance(t, np.ndarray) else _log1m_tail(t)
+    return scale * tail
 
 
 def validity_interval(bound_id: str) -> Tuple[float, float]:
@@ -256,7 +319,20 @@ def thm_rhs(bound_id: str, r: float) -> float:
         raise ValueError(
             f"r={r} outside the validity interval [{lo}, {hi}] of {bound_id}"
         )
-    return RHS_SCALE[bound_id] * r**4
+    return _thm_rhs_raw(bound_id, r)
+
+
+def _thm_rhs_inside(bound_id: str, r: np.ndarray) -> np.ndarray:
+    """``thm_rhs``'s gate as a mask over an array of radii."""
+    lo, hi = validity_interval(bound_id)
+    return (lo - _EDGE <= r) & (r <= hi + _EDGE)
+
+
+def _thm_rhs_raw(bound_id: str, r):
+    """scale * r^4 with no gate; r a float or an array, whose power
+    ``_libm_pow`` takes."""
+    r4 = _libm_pow(r, 4) if isinstance(r, np.ndarray) else r**4
+    return RHS_SCALE[bound_id] * r4
 
 
 def remark6_poly(y: float) -> float:

@@ -24,19 +24,25 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bounds import (
     R_THM5,
-    bound_basic,
-    bound_cor1,
+    _basic_inside,
+    _basic_raw,
+    _cor1_inside,
+    _cor1_raw,
+    _prop1_inside,
+    _prop1_raw,
+    _thm1_B2_raw,
+    _thm1_B_raw,
+    _thm1_inside,
+    _thm_rhs_inside,
+    _thm_rhs_raw,
     bound_prop1,
-    bound_thm1_B,
-    bound_thm1_B2,
     remark6_poly,
-    thm_rhs,
 )
 from .numerics import _straddles, bisect, sign_changes
 from .verify import (
@@ -305,28 +311,6 @@ def cmd_root(stdout=None) -> int:
 # table
 
 
-def _table_value(bound_id: str, x: Optional[float], r: float) -> float:
-    if bound_id == "basic":
-        return bound_basic(r)
-    if bound_id == "prop1":
-        return bound_prop1(1 if x is None else int(x), r)
-    if bound_id == "thm1_B":
-        if x is None:
-            raise UsageError("thm1_B needs --x (the family parameter)")
-        return bound_thm1_B(x, r)
-    if bound_id == "thm1_B2":
-        if x is None:
-            raise UsageError("thm1_B2 needs --x (the family parameter)")
-        return bound_thm1_B2(x, r)
-    if bound_id == "cor1":
-        if x is None:
-            raise UsageError("cor1 needs --x (the first coefficient a)")
-        return bound_cor1(x, r)
-    if bound_id in ("thm2", "thm3", "cor2", "thm5"):
-        return thm_rhs(bound_id, r)
-    raise UsageError(f"unknown bound id {bound_id!r}")
-
-
 _TABLE_BOUNDS = (
     "basic",
     "prop1",
@@ -338,6 +322,36 @@ _TABLE_BOUNDS = (
     "cor2",
     "thm5",
 )
+# The family bounds' second parameter, which ``--x`` must supply.
+_TABLE_X = {
+    "thm1_B": "the family parameter",
+    "thm1_B2": "the family parameter",
+    "cor1": "the first coefficient a",
+}
+
+
+def _table_column(
+    bound_id: str, x: Optional[float], radii: np.ndarray
+) -> Iterator[str]:
+    """One bound's value cells over all radii, from one array call on the
+    radii inside its validity interval (no call when none is: B_a has no
+    value at a = 0); ``out_of_range`` elsewhere."""
+    if bound_id == "basic":
+        inside, column = _basic_inside(radii), _basic_raw
+    elif bound_id == "prop1":
+        n = 1 if x is None else int(x)
+        inside, column = _prop1_inside(n, radii), lambda r: _prop1_raw(n, r)
+    elif bound_id == "thm1_B":
+        inside, column = _thm1_inside(x, radii), lambda r: _thm1_B_raw(x, r)
+    elif bound_id == "thm1_B2":
+        inside, column = _thm1_inside(x, radii), lambda r: _thm1_B2_raw(x, r)
+    elif bound_id == "cor1":
+        inside, column = _cor1_inside(x, radii), lambda r: _cor1_raw(x, r)
+    else:
+        inside = _thm_rhs_inside(bound_id, radii)
+        column = lambda r: _thm_rhs_raw(bound_id, r)
+    cells = iter(column(radii[inside]).tolist() if inside.any() else ())
+    return (_fmt(next(cells)) if ok else "out_of_range" for ok in inside.tolist())
 
 
 def _check_prop1_order(x: float) -> None:
@@ -366,19 +380,19 @@ def cmd_table(
             )
     if "prop1" in bound_ids and x is not None:
         _check_prop1_order(x)
+    for bid in bound_ids:
+        if bid in _TABLE_X and x is None:
+            raise UsageError(f"{bid} needs --x ({_TABLE_X[bid]})")
     lo, hi, steps = r_range
     radii = np.linspace(lo, hi, steps)
-    lines = ["bound_id,x,r,value"]
+    r_cells = [_fmt(r) for r in radii.tolist()]
+    lines = ["bound_id,x,r,value\n"]
     x_cell = "" if x is None else _fmt(x)
     for bid in bound_ids:
-        for r in radii:
-            try:
-                value = _table_value(bid, x, float(r))
-                cell = _fmt(value)
-            except ValueError:
-                cell = "out_of_range"
-            lines.append(f"{bid},{x_cell},{_fmt(float(r))},{cell}")
-    text = "\n".join(lines) + "\n"
+        prefix = f"{bid},{x_cell},"
+        for r_cell, cell in zip(r_cells, _table_column(bid, x, radii)):
+            lines.append(f"{prefix}{r_cell},{cell}\n")
+    text = "".join(lines)
     if out_path is not None:
         _write_text(out_path, text)
         print(f"wrote {out_path}", file=out)

@@ -1,6 +1,7 @@
 """Scalar numerical kernel: bracketing root finder, sign-change scanner,
-golden-section maximizer, and composite trapezoid quadrature.  One array
-helper, ``_libm_pow``, lets the closed forms take an x grid in one call.
+golden-section maximizer, and composite trapezoid quadrature.  Two array
+helpers, ``_libm_pow`` and ``_log1m_tails``, let the closed forms take a
+grid in one call.
 
 Everything here is pure and deterministic.  Bisection is preferred wherever
 a bracket exists because its convergence is unconditional, and none of the
@@ -47,6 +48,12 @@ def _log1m_tail(t: float) -> float:
     s = t / (2.0 - t)
     s2 = s * s
     return t * t / (2.0 - t) + 2.0 * s * s2 * (1.0 / 3.0 + s2 / 5.0 + s2 * s2 / 7.0)
+
+
+def _log1m_tails(values: np.ndarray) -> np.ndarray:
+    """``_log1m_tail`` element by element, so each element has the bits of a
+    scalar call: its ``math.log1p`` may differ by one ulp from NumPy's."""
+    return np.array([_log1m_tail(v) for v in values.tolist()])
 
 
 def _libm_pow(values: np.ndarray, k: int) -> np.ndarray:

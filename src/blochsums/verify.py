@@ -62,6 +62,7 @@ from .families import (
 from .numerics import (
     _libm_pow,
     _log1m_tail,
+    _log1m_tails,
     bisect,
     golden_max,
     sign_changes,
@@ -226,10 +227,14 @@ class ScanGrid:
             raise ValueError("sample_count must be positive")
         if self.truncation < 8:
             raise ValueError("truncation must be at least 8")
+        # The thm5 replay's case-1 grid ends at r_admissible(r), defined
+        # only up to r = 1/sqrt(3).
         if self.r_values is not None and not (
-            self.r_values and all(0.0 < r < 1.0 for r in self.r_values)
+            self.r_values and all(0.0 < r <= R_HI for r in self.r_values)
         ):
-            raise ValueError("r_values must name at least one radius, each in (0, 1)")
+            raise ValueError(
+                "r_values must name at least one radius, each in (0, 1/sqrt(3)]"
+            )
 
     def x_grid(self) -> np.ndarray:
         lo, hi, steps = self.x_range
@@ -802,9 +807,12 @@ def _thm3_rows(x_steps: int = 1000) -> List[BoundEvaluation]:
     return instances
 
 
-def _cor2_h(a: float, w: float) -> float:
+def _cor2_h(a: float, w):
+    """H_a(w); w a float or an array, whose logarithms ``_log1m_tails``
+    takes element by element."""
     c = 4.0 * a * a / 9.0
-    return (1.0 - c) ** 2 * _log1m_tail(w) - w * w / 2.0
+    tail = _log1m_tails(w) if isinstance(w, np.ndarray) else _log1m_tail(w)
+    return (1.0 - c) ** 2 * tail - w * w / 2.0
 
 
 def _cor2_reduced(v: float) -> float:
@@ -829,13 +837,16 @@ def _cor2_rows(a_steps: int = 200, w_steps: int = 200) -> List[BoundEvaluation]:
         raise ValueError("need at least 2 steps in each direction")
     worst_val = -math.inf
     worst_at = (0.0, 0.0)
+    # One a-row per array call; a later row must beat the maximum strictly,
+    # so the first maximum in row-major order wins.
     for a in np.linspace(1e-3, 1.0 - 1e-3, a_steps):
         c = 4.0 * a * a / 9.0
-        for w in np.linspace(0.0, c, w_steps):
-            val = _cor2_h(a, w)
-            if val > worst_val:
-                worst_val = val
-                worst_at = (float(a), float(w))
+        ws = np.linspace(0.0, c, w_steps)
+        vals = _cor2_h(a, ws)
+        j = int(np.argmax(vals))
+        if vals[j] > worst_val:
+            worst_val = vals[j]
+            worst_at = (float(a), float(ws[j]))
     instances = [
         BoundEvaluation(
             "cor2",

@@ -5,9 +5,22 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
-from blochsums import R_THM5, bound_basic, bound_prop1, bound_thm1_B, verify
+from blochsums import (
+    R_THM5,
+    bound_basic,
+    bound_cor1,
+    bound_prop1,
+    bound_thm1_B,
+    bound_thm1_B2,
+    r_admissible,
+    r_star,
+    thm_rhs,
+    verify,
+)
+from blochsums.bounds import R_HI, THM2_R_LO, THM3_R_LO
 from blochsums.cli import RunConfig, UsageError, cmd_verify, main
 
 
@@ -134,6 +147,8 @@ class TestVerifyCommand:
             ("--suite", "thm2", "--tol", "nan"),
             ("--suite", "basic", "--seed", "-1"),
             ("--suite", "thm5", "--r-values", "1.5"),
+            ("--suite", "thm5", "--r-values", "0.9"),
+            ("--suite", "thm5", "--r-values", "0.3,0.5773502691896259"),
             ("--suite", "thm5", "--r-values", ","),
             ("--suite", "thm5", "--grid", "0.1:0.9:10"),
         ],
@@ -208,6 +223,89 @@ class TestRootCommand:
         assert math.isclose(
             float(fields["rho"]), float(fields["sqrt_rho"]) ** 2, rel_tol=1e-12
         )
+
+
+def _table_oracle(bound_ids, r_range, x):
+    """``table``'s output as the loop of scalar bound calls, one per cell,
+    that the column arrays replaced: they must give the same bytes."""
+
+    def value(bound_id, r):
+        if bound_id == "basic":
+            return bound_basic(r)
+        if bound_id == "prop1":
+            return bound_prop1(1 if x is None else int(x), r)
+        if bound_id == "thm1_B":
+            return bound_thm1_B(x, r)
+        if bound_id == "thm1_B2":
+            return bound_thm1_B2(x, r)
+        if bound_id == "cor1":
+            return bound_cor1(x, r)
+        return thm_rhs(bound_id, r)
+
+    lines = ["bound_id,x,r,value"]
+    x_cell = "" if x is None else format(x, ".17g")
+    for bid in bound_ids:
+        for r in np.linspace(*r_range):
+            try:
+                cell = format(value(bid, float(r)), ".17g")
+            except ValueError:
+                cell = "out_of_range"
+            lines.append(f"{bid},{x_cell},{format(float(r), '.17g')},{cell}")
+    return "\n".join(lines) + "\n"
+
+
+_QUARTICS = ("thm2", "thm3", "cor2", "thm5")
+_FAMILY = ("thm1_B", "thm1_B2", "cor1")
+
+
+def _edge_cases():
+    """(bounds, x, edge radius) at every validity-interval end a gate tests."""
+    cases = [
+        (("basic", "cor1") + _QUARTICS, 0.2, R_HI),
+        (("basic", "prop1") + _QUARTICS, None, 0.0),
+        (("basic",) + _FAMILY + _QUARTICS, 0.2, 0.0),
+        (_QUARTICS, None, THM2_R_LO),
+        (_QUARTICS, None, THM3_R_LO),
+        (_QUARTICS, None, R_THM5),
+    ]
+    cases += [(("prop1",), float(n), r_star(n)) for n in (1, 6, 141)]
+    cases += [(_FAMILY, x, r_admissible(x)) for x in (0.2, 0.45)]
+    return cases
+
+
+class TestTableOracle:
+    """Every table the column arrays write equals the per-cell oracle byte
+    for byte, inside, outside and at the ends of each validity interval."""
+
+    def check(self, capsys, bound_ids, r_range, x=None):
+        argv = ["table", "--bounds", ",".join(bound_ids)]
+        argv.append("--grid={!r}:{!r}:{}".format(*r_range))
+        if x is not None:
+            argv.append(f"--x={x!r}")
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert out == _table_oracle(bound_ids, r_range, x)
+
+    def test_all_nine_bounds_cover_out_of_range_cells(self, capsys):
+        no_prop1 = ("basic",) + _FAMILY + _QUARTICS
+        self.check(capsys, no_prop1, (-0.2, 1.3, 1501), 0.2)
+        self.check(capsys, ("basic", "prop1") + _QUARTICS, (-0.5, 0.99, 301))
+        self.check(capsys, ("prop1",), (-0.1, 1.1, 301), 6.0)
+
+    @pytest.mark.parametrize("bound_ids, x, edge", _edge_cases())
+    def test_validity_edges(self, capsys, bound_ids, x, edge):
+        self.check(capsys, bound_ids, (edge - 3e-12, edge + 3e-12, 7), x)
+        self.check(capsys, bound_ids, (edge - 1e-12, edge + 1e-12, 2), x)
+
+    @pytest.mark.parametrize(
+        "x", [0.0, R_HI, 0.6, -0.1, 1.0, 1.5, math.inf, math.nan]
+    )
+    def test_parameter_outside_its_domain(self, capsys, x):
+        # thm1 needs x in (0, 1/sqrt(3)) and cor1 needs a in (0, 1).
+        self.check(capsys, ("basic",) + _FAMILY, (0.0, 0.6, 61), x)
+
+    def test_readme_example(self, capsys):
+        self.check(capsys, ("thm1_B",), (0.1, 0.3, 3), 0.2)
 
 
 class TestTableCommand:

@@ -35,6 +35,8 @@ from blochsums.numerics import golden_max
 from blochsums.verify import (
     _FAMILY_LHS,
     DEFAULT_TOL,
+    _cor2_h,
+    _cor2_rows,
     _family_peak,
     _random_bloch_prime,
     _random_schwarz,
@@ -350,6 +352,51 @@ class TestArrayClosedForms:
             assert np.array_equal(got.view(np.uint64), scalars.view(np.uint64)), r
 
 
+    @pytest.mark.parametrize("form", [bounds._thm1_B_raw, bounds._thm1_B2_raw])
+    def test_r_array_equals_scalar(self, form):
+        # ``table`` calls the thm1 closed forms with an array of radii.
+        rng = np.random.default_rng(2020)
+        rs = np.concatenate(
+            [rng.uniform(0.0, 1.0, 5000), np.linspace(-0.2, 1.2, 1401)]
+        )
+        for x in (1e-3, 0.05, 0.2, 0.45, R_HI - 1e-3, float(rng.uniform(0.0, R_HI))):
+            got = form(x, rs)
+            floats = np.array([form(x, r) for r in rs.tolist()])
+            scalars = np.array([form(x, r) for r in rs])
+            assert np.array_equal(got.view(np.uint64), floats.view(np.uint64)), x
+            assert np.array_equal(got.view(np.uint64), scalars.view(np.uint64)), x
+
+    def test_cor2_h_w_array_equals_scalar(self):
+        # The cor2 grid calls H_a with one row of w at a time; a comes from
+        # a NumPy grid there and is a Python float in the identity rows.
+        rng = np.random.default_rng(2021)
+        for a in np.concatenate([np.linspace(1e-3, 1.0 - 1e-3, 7), [0.6]]):
+            for a in (a, float(a)):
+                c = 4.0 * a * a / 9.0
+                ws = np.concatenate(
+                    [np.linspace(0.0, c, 200), rng.uniform(0.0, 0.999, 3000)]
+                )
+                got = _cor2_h(a, ws)
+                floats = np.array([_cor2_h(a, w) for w in ws.tolist()])
+                scalars = np.array([_cor2_h(a, w) for w in ws])
+                assert np.array_equal(got.view(np.uint64), floats.view(np.uint64)), a
+                assert np.array_equal(got.view(np.uint64), scalars.view(np.uint64)), a
+
+
+def _cor2_grid_oracle(a_steps, w_steps):
+    """``(lhs, a, w)`` of the cor2 ``h_grid`` row as the scalar double loop
+    that the row-at-a-time evaluation replaced: first maximum in row-major
+    order, each cell one scalar ``_cor2_h`` call."""
+    worst_val, worst_at = -math.inf, (0.0, 0.0)
+    for a in np.linspace(1e-3, 1.0 - 1e-3, a_steps):
+        c = 4.0 * a * a / 9.0
+        for w in np.linspace(0.0, c, w_steps):
+            val = _cor2_h(a, w)
+            if val > worst_val:
+                worst_val, worst_at = val, (float(a), float(w))
+    return worst_val, worst_at[0], worst_at[1]
+
+
 class TestFamilyGridOracles:
     @pytest.mark.parametrize("bound_id", sorted(_FAMILY_LHS))
     @pytest.mark.parametrize(
@@ -398,6 +445,12 @@ class TestFamilyGridOracles:
         # The grid maximum, not the golden one, sets both rows at some radii.
         assert min(grid_wins.values()) > 0
 
+    @pytest.mark.parametrize("steps", [(200, 200), (2, 2), (37, 5)])
+    def test_cor2_h_grid_matches_oracle(self, steps):
+        (row,) = [i for i in _cor2_rows(*steps) if i.instance_id == "h_grid"]
+        got = _bits(row.lhs, row.params["a"], row.params["w"])
+        assert np.array_equal(got, _bits(*_cor2_grid_oracle(*steps)))
+
 
 class TestSuiteRunners:
     @pytest.mark.parametrize("suite", ALL_SUITES)
@@ -440,6 +493,8 @@ class TestSuiteRunners:
             dict(x_range=(0.1, 0.9, 10)),
             dict(x_range=(0.1, math.nan, 10)),
             dict(r_values=(0.38, 1.0)),
+            dict(r_values=(0.9,)),
+            dict(r_values=(0.3, np.nextafter(R_HI, 1.0))),
             dict(r_values=(0.0,)),
             dict(r_values=(math.nan,)),
             dict(r_values=()),
@@ -447,6 +502,8 @@ class TestSuiteRunners:
         ):
             with pytest.raises(ValueError):
                 ScanGrid(**bad)
+        # 1/sqrt(3), the end of the thm5 replay's admissible radii, is valid.
+        assert ScanGrid(r_values=(R_HI,)).r_values == (R_HI,)
 
 
 class TestSuitesJudgeOnce:
