@@ -16,22 +16,24 @@ of the closed forms collected here:
 
 Validity intervals are enforced by raising, never by clamping: each claim is
 interval-conditional and silently evaluating outside would corrupt verdicts.
-Each gated bound splits into its gate and an ungated ``_*_raw`` closed form
-that also takes an array of radii (``table`` evaluates a whole column in one
-call); next to each gate, an ``_*_inside`` function copies it as a boolean
-mask over such an array.  All surd constants are evaluated once from
-integers at import time.
+Each gated bound is declared once, as an ungated ``_*_raw`` closed form and
+an ``_*_inside`` radius predicate, both taking a float or an array of radii:
+the public function raises when its predicate is false, and ``table``
+evaluates a whole column with the same two in one call.  A predicate raises
+on a parameter outside its domain (x, a, n or the bound id).  All surd
+constants are evaluated once from integers at import time.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .numerics import _libm_pow, _log1m_tail, _log1m_tails
+from .numerics import _log1m_tail, _pow
 
 __all__ = [
     "SQRT3",
@@ -133,13 +135,13 @@ class BoundEvaluation:
 
 def bound_basic(r: float) -> float:
     """Parseval envelope 1/(1 - r^2)^2 on [0, 1)."""
-    if not 0.0 <= r < 1.0:
+    if not _basic_inside(r):
         raise ValueError("r must lie in [0, 1)")
     return _basic_raw(r)
 
 
-def _basic_inside(r: np.ndarray) -> np.ndarray:
-    """``bound_basic``'s gate as a mask over an array of radii."""
+def _basic_inside(r):
+    """``bound_basic``'s gate 0 <= r < 1; r a float or an array."""
     return (0.0 <= r) & (r < 1.0)
 
 
@@ -161,25 +163,23 @@ def bound_prop1(n: int, r: float) -> float:
 
     At r = r_n the value coincides with ``bound_basic(r_n)`` = ((n+2)/2)^2.
     """
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    rn = r_star(n)
-    if not 0.0 <= r <= rn + _EDGE:
-        raise ValueError(f"r={r} outside the validity interval [0, {rn}] for n={n}")
+    if not _prop1_inside(n, r):
+        raise ValueError(
+            f"r={r} outside the validity interval [0, {r_star(n)}] for n={n}"
+        )
     return _prop1_raw(n, r)
 
 
-def _prop1_inside(n: int, r: np.ndarray) -> np.ndarray:
-    """``bound_prop1``'s gate on r as a mask over an array of radii."""
+def _prop1_inside(n: int, r):
+    """``bound_prop1``'s gate 0 <= r <= r_n; r a float or an array.  Raises
+    unless n >= 1."""
     return (0.0 <= r) & (r <= r_star(n) + _EDGE)
 
 
 def _prop1_raw(n: int, r):
-    """Tail constant times r^(2n) with no gate; r a float or an array, whose
-    power ``_libm_pow`` takes."""
+    """Tail constant times r^(2n) with no gate; r a float or an array."""
     constant = (n + 2.0) ** (n + 2) / (4.0 * float(n) ** n)
-    r2n = _libm_pow(r, 2 * n) if isinstance(r, np.ndarray) else r ** (2 * n)
-    return constant * r2n
+    return constant * _pow(r, 2 * n)
 
 
 def r_admissible(x: float) -> float:
@@ -199,18 +199,14 @@ def _thm1_B_raw(x, r):
     Equals the coefficient sum of the family member for every x r < 1; the
     admissibility gate below applies only when the value is used as a bound
     for the whole class.  x or r may be a float or an array; an array gives
-    each element the bits of the scalar call, its powers taken by
-    ``_libm_pow``.
-    The inline type test keeps the scalar call (the integrand of the
-    ``thm1_B2`` trapezoid) as cheap as a plain ``d**5``.
+    each element the bits of the scalar call, its powers taken by ``_pow``.
     """
     x2 = x * x
     r2 = r * r
     one_m_x2 = 1.0 - x2
     d = 1.0 - r2 * x2
     numerator = (r2 + x2) * d * d - 6.0 * r2 * x2 * one_m_x2 * (1.0 - r2)
-    d5 = d**5 if isinstance(d, float) else _libm_pow(d, 5)
-    return 27.0 * r2 * one_m_x2 * one_m_x2 * numerator / (4.0 * d5)
+    return 27.0 * r2 * one_m_x2 * one_m_x2 * numerator / (4.0 * _pow(d, 5))
 
 
 def _thm1_B2_raw(x, r):
@@ -220,29 +216,23 @@ def _thm1_B2_raw(x, r):
     r2 = r * r
     one_m_x2 = 1.0 - x2
     d = 1.0 - r2 * x2
-    q = 1.0 - r2
-    q2 = q**2 if isinstance(q, float) else _libm_pow(q, 2)
-    numerator = 3.0 * x2 * q2 + d * (r2 - x2)
-    d4 = d**4 if isinstance(d, float) else _libm_pow(d, 4)
-    return 27.0 * r2 * one_m_x2 * one_m_x2 * numerator / (8.0 * d4)
+    numerator = 3.0 * x2 * _pow(1.0 - r2, 2) + d * (r2 - x2)
+    return 27.0 * r2 * one_m_x2 * one_m_x2 * numerator / (8.0 * _pow(d, 4))
+
+
+def _thm1_inside(x: float, r):
+    """The family bounds' gate 0 <= r <= r_admissible(x); r a float or an
+    array.  Raises unless 0 < x < 1/sqrt(3)."""
+    if not 0.0 < x < R_HI:
+        raise ValueError("x must lie in (0, 1/sqrt(3))")
+    return (0.0 <= r) & (r <= r_admissible(x) + _EDGE)
 
 
 def _check_thm1_domain(x: float, r: float) -> None:
-    if not 0.0 < x < R_HI:
-        raise ValueError("x must lie in (0, 1/sqrt(3))")
-    r_adm = r_admissible(x)
-    if not 0.0 <= r <= r_adm + _EDGE:
+    if not _thm1_inside(x, r):
         raise ValueError(
-            f"r={r} outside the admissible interval [0, {r_adm}] for x={x}"
+            f"r={r} outside the admissible interval [0, {r_admissible(x)}] for x={x}"
         )
-
-
-def _thm1_inside(x: float, r: np.ndarray) -> np.ndarray:
-    """``_check_thm1_domain`` as a mask over an array of radii: all False
-    when x is outside (0, 1/sqrt(3))."""
-    if not 0.0 < x < R_HI:
-        return np.zeros(r.shape, dtype=bool)
-    return (0.0 <= r) & (r <= r_admissible(x) + _EDGE)
 
 
 def bound_thm1_B(x: float, r: float) -> float:
@@ -268,41 +258,44 @@ def bound_cor1(a: float, r: float) -> float:
     """Logarithmic envelope B_a(r) for the k >= 2 portion of the k r^{2k} sum.
 
     B_a(r) = (3 (9 - 4a^2)^2 / (64 a^4)) (-log(1 - 4a^2 r^2/3) - 4a^2 r^2/3),
-    nonnegative, zero at r = 0, increasing in r on [0, 1/sqrt(3)].
+    nonnegative, zero at r = 0, increasing in r on [0, 1/sqrt(3)]; it tends
+    to 27 r^4 / 8 as a -> 0.
     """
-    if not 0.0 < a < 1.0:
-        raise ValueError("a must lie in (0, 1)")
-    if not 0.0 <= r <= R_HI + _EDGE:
+    if not _cor1_inside(a, r):
         raise ValueError("r must lie in [0, 1/sqrt(3)]")
-    t = _cor1_t(a, r)
-    if t >= 1.0:  # cannot occur under the preconditions; kept as a hard guard
-        raise ValueError("4 a^2 r^2 / 3 must stay below 1")
     return _cor1_raw(a, r)
 
 
-def _cor1_inside(a: float, r: np.ndarray) -> np.ndarray:
-    """``bound_cor1``'s gates as a mask over an array of radii: all False
-    when a is outside (0, 1); t is formed only where r passes its gate."""
+def _cor1_inside(a: float, r):
+    """``bound_cor1``'s gate 0 <= r <= 1/sqrt(3); r a float or an array.
+    Raises unless 0 < a < 1.  Inside, 4 a^2 r^2 / 3 < 4/9 + 2e-12."""
     if not 0.0 < a < 1.0:
-        return np.zeros(r.shape, dtype=bool)
-    inside = (0.0 <= r) & (r <= R_HI + _EDGE)
-    inside[inside] = _cor1_t(a, r[inside]) < 1.0
-    return inside
-
-
-def _cor1_t(a: float, r):
-    """t = 4 a^2 r^2 / 3, the argument of B_a's logarithm; r a float or an
-    array."""
-    return 4.0 * a * a * r * r / 3.0
+        raise ValueError("a must lie in (0, 1)")
+    return (0.0 <= r) & (r <= R_HI + _EDGE)
 
 
 def _cor1_raw(a: float, r):
-    """B_a(r) with no gate; r a float or an array, each of whose logarithms
-    goes through ``_log1m_tail``."""
-    t = _cor1_t(a, r)
-    scale = 3.0 * (9.0 - 4.0 * a * a) ** 2 / (64.0 * a**4)
-    tail = _log1m_tails(t) if isinstance(t, np.ndarray) else _log1m_tail(t)
-    return scale * tail
+    """B_a(r) with no gate; r a float or an array.
+
+    B_a(r) is scale * tail(t), with t = 4 a^2 r^2 / 3 and
+    tail(t) = -log(1 - t) - t, wherever tail(t) is a normal float.  Elsewhere
+    (where a r is below about 1.3e-77) that form would divide by a^4 = 0,
+    overflow, or round a subnormal tail, and B_a(r) is evaluated as
+    (3 (9 - 4a^2)^2 / 64) (16 r^4 / 9) (tail(t) / t^2): there t < 1e-153, so
+    the series tail(t) / t^2 = 1/2 + t/3 + t^2/4 + ... is 1/2 + t/3 to double
+    precision.
+    """
+    t = 4.0 * a * a * r * r / 3.0
+    tail = _log1m_tail(t)
+    num = 3.0 * (9.0 - 4.0 * a * a) ** 2
+    small = tail < sys.float_info.min
+    if not np.any(small):
+        return num / (64.0 * a**4) * tail
+    r2 = r * r
+    near = num / 64.0 * (16.0 * r2 * r2 / 9.0) * (0.5 + t / 3.0)
+    if np.all(small):
+        return near
+    return np.where(small, near, num / (64.0 * a**4) * tail)
 
 
 def validity_interval(bound_id: str) -> Tuple[float, float]:
@@ -314,25 +307,28 @@ def validity_interval(bound_id: str) -> Tuple[float, float]:
 
 def thm_rhs(bound_id: str, r: float) -> float:
     """Quartic right-hand side scale * r^4 with interval enforcement."""
-    lo, hi = validity_interval(bound_id)
-    if not lo - _EDGE <= r <= hi + _EDGE:
-        raise ValueError(
-            f"r={r} outside the validity interval [{lo}, {hi}] of {bound_id}"
-        )
+    _check_thm_interval(bound_id, r)
     return _thm_rhs_raw(bound_id, r)
 
 
-def _thm_rhs_inside(bound_id: str, r: np.ndarray) -> np.ndarray:
-    """``thm_rhs``'s gate as a mask over an array of radii."""
+def _thm_rhs_inside(bound_id: str, r):
+    """``thm_rhs``'s gate lo <= r <= hi; r a float or an array.  Raises on
+    an unknown bound id."""
     lo, hi = validity_interval(bound_id)
     return (lo - _EDGE <= r) & (r <= hi + _EDGE)
 
 
+def _check_thm_interval(bound_id: str, r: float) -> None:
+    if not _thm_rhs_inside(bound_id, r):
+        lo, hi = VALIDITY[bound_id]
+        raise ValueError(
+            f"r={r} outside the validity interval [{lo}, {hi}] of {bound_id}"
+        )
+
+
 def _thm_rhs_raw(bound_id: str, r):
-    """scale * r^4 with no gate; r a float or an array, whose power
-    ``_libm_pow`` takes."""
-    r4 = _libm_pow(r, 4) if isinstance(r, np.ndarray) else r**4
-    return RHS_SCALE[bound_id] * r4
+    """scale * r^4 with no gate; r a float or an array."""
+    return RHS_SCALE[bound_id] * _pow(r, 4)
 
 
 def remark6_poly(y: float) -> float:

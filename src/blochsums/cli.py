@@ -30,6 +30,7 @@ import numpy as np
 
 from .bounds import (
     R_THM5,
+    VALIDITY,
     _basic_inside,
     _basic_raw,
     _cor1_inside,
@@ -311,17 +312,6 @@ def cmd_root(stdout=None) -> int:
 # table
 
 
-_TABLE_BOUNDS = (
-    "basic",
-    "prop1",
-    "thm1_B",
-    "thm1_B2",
-    "cor1",
-    "thm2",
-    "thm3",
-    "cor2",
-    "thm5",
-)
 # The family bounds' second parameter, which ``--x`` must supply.
 _TABLE_X = {
     "thm1_B": "the family parameter",
@@ -330,27 +320,39 @@ _TABLE_X = {
 }
 
 
+# Each table bound's radius predicate and closed form, both called as
+# f(*params, r) with the params ``_table_column`` gives the bound.
+_TABLE_FORMS = {
+    "basic": (_basic_inside, _basic_raw),
+    "prop1": (_prop1_inside, _prop1_raw),
+    "thm1_B": (_thm1_inside, _thm1_B_raw),
+    "thm1_B2": (_thm1_inside, _thm1_B2_raw),
+    "cor1": (_cor1_inside, _cor1_raw),
+    **dict.fromkeys(VALIDITY, (_thm_rhs_inside, _thm_rhs_raw)),
+}
+
+
 def _table_column(
     bound_id: str, x: Optional[float], radii: np.ndarray
 ) -> Iterator[str]:
     """One bound's value cells over all radii, from one array call on the
-    radii inside its validity interval (no call when none is: B_a has no
-    value at a = 0); ``out_of_range`` elsewhere."""
+    radii its predicate accepts; ``out_of_range`` elsewhere, and in every
+    cell, with no call (B_a has no value at a = 0), when ``--x`` lies outside
+    the bound's parameter domain."""
     if bound_id == "basic":
-        inside, column = _basic_inside(radii), _basic_raw
+        params = ()
     elif bound_id == "prop1":
-        n = 1 if x is None else int(x)
-        inside, column = _prop1_inside(n, radii), lambda r: _prop1_raw(n, r)
-    elif bound_id == "thm1_B":
-        inside, column = _thm1_inside(x, radii), lambda r: _thm1_B_raw(x, r)
-    elif bound_id == "thm1_B2":
-        inside, column = _thm1_inside(x, radii), lambda r: _thm1_B2_raw(x, r)
-    elif bound_id == "cor1":
-        inside, column = _cor1_inside(x, radii), lambda r: _cor1_raw(x, r)
+        params = (1 if x is None else int(x),)
+    elif bound_id in _TABLE_X:
+        params = (x,)
     else:
-        inside = _thm_rhs_inside(bound_id, radii)
-        column = lambda r: _thm_rhs_raw(bound_id, r)
-    cells = iter(column(radii[inside]).tolist() if inside.any() else ())
+        params = (bound_id,)
+    predicate, form = _TABLE_FORMS[bound_id]
+    try:
+        inside = predicate(*params, radii)
+    except ValueError:
+        inside = np.zeros(radii.shape, dtype=bool)
+    cells = iter(form(*params, radii[inside]).tolist() if inside.any() else ())
     return (_fmt(next(cells)) if ok else "out_of_range" for ok in inside.tolist())
 
 
@@ -374,9 +376,9 @@ def cmd_table(
 ) -> int:
     out = stdout or sys.stdout
     for bid in bound_ids:
-        if bid not in _TABLE_BOUNDS:
+        if bid not in _TABLE_FORMS:
             raise UsageError(
-                f"unknown bound id {bid!r}; known: {', '.join(_TABLE_BOUNDS)}"
+                f"unknown bound id {bid!r}; known: {', '.join(_TABLE_FORMS)}"
             )
     if "prop1" in bound_ids and x is not None:
         _check_prop1_order(x)

@@ -1,7 +1,7 @@
 """Scalar numerical kernel: bracketing root finder, sign-change scanner,
-golden-section maximizer, and composite trapezoid quadrature.  Two array
-helpers, ``_libm_pow`` and ``_log1m_tails``, let the closed forms take a
-grid in one call.
+golden-section maximizer, and composite trapezoid quadrature.  Two private
+helpers, ``_pow`` and ``_log1m_tail``, take a float or an array, so that a
+closed form written once takes a radius or a whole grid in one call.
 
 Everything here is pure and deterministic.  Bisection is preferred wherever
 a bracket exists because its convergence is unconditional, and none of the
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Tuple
 
 import numpy as np
+from numpy import ndarray
 
 __all__ = [
     "RootResult",
@@ -36,12 +37,16 @@ def _straddles(a: float, b: float) -> bool:
     return (a < 0.0 < b) or (b < 0.0 < a)
 
 
-def _log1m_tail(t: float) -> float:
-    """-log(1 - t) - t for 0 <= t < 1.  The direct form loses about
-    3e-16 / t of relative accuracy to cancellation, so below t = 0.01 it is
+def _log1m_tail(t):
+    """-log(1 - t) - t for 0 <= t < 1; t a float or an array, each of whose
+    elements gets the bits of a scalar call (``math.log1p`` may differ by one
+    ulp from NumPy's).  The direct form loses about 3e-16 / t of relative
+    accuracy to cancellation, so below t = 0.01 it is
     t^2/(2 - t) + 2 (s^3/3 + s^5/5 + ...) with s = t/(2 - t), from
     -log(1 - t) = 2 atanh(s): all terms positive, and the first one left out
     below 1e-17 of the sum."""
+    if type(t) is ndarray:
+        return np.array([_log1m_tail(v) for v in t.tolist()])
     if not t < 0.01:
         return -math.log1p(-t) - t
     t = float(t)  # a NumPy scalar would make each operation below slower
@@ -50,18 +55,16 @@ def _log1m_tail(t: float) -> float:
     return t * t / (2.0 - t) + 2.0 * s * s2 * (1.0 / 3.0 + s2 / 5.0 + s2 * s2 / 7.0)
 
 
-def _log1m_tails(values: np.ndarray) -> np.ndarray:
-    """``_log1m_tail`` element by element, so each element has the bits of a
-    scalar call: its ``math.log1p`` may differ by one ulp from NumPy's."""
-    return np.array([_log1m_tail(v) for v in values.tolist()])
-
-
-def _libm_pow(values: np.ndarray, k: int) -> np.ndarray:
-    """values ** k element by element through Python's float pow (the C
-    library's pow), so each element has the bits a scalar evaluation gives.
-    NumPy's vector ``**`` may take a SIMD path that rounds some elements
-    differently; + - * / round the same in NumPy and in Python."""
-    return np.array([v**k for v in values.tolist()])
+def _pow(v, k: int):
+    """v ** k through Python's float pow (the C library's pow); v a float or
+    an array, each of whose elements gets the bits of a scalar call.  NumPy's
+    vector ``**`` may take a SIMD path that rounds some elements differently;
+    + - * / round the same in NumPy and in Python.  The exact type test, not
+    ``isinstance``, keeps a scalar call (the integrand of the ``thm1_B2``
+    trapezoid) within a few ns of a bare ``v**k``."""
+    if type(v) is ndarray:
+        return np.array([e**k for e in v.tolist()])
+    return v**k
 
 
 @dataclass(frozen=True)

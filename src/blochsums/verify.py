@@ -37,7 +37,6 @@ from . import bounds
 from .bounds import (
     R_HI,
     R_THM5,
-    RHS_SCALE,
     THM2_R_LO,
     BoundEvaluation,
     bound_basic,
@@ -60,9 +59,8 @@ from .families import (
     x_of_a,
 )
 from .numerics import (
-    _libm_pow,
     _log1m_tail,
-    _log1m_tails,
+    _pow,
     bisect,
     golden_max,
     sign_changes,
@@ -642,9 +640,7 @@ def verify_thm2(r: float, x_steps: int = 1000) -> VerdictReport:
 
 def _thm2_rows(r: float, x_steps: int = 1000) -> List[BoundEvaluation]:
     """Rows of ``verify_thm2``."""
-    lo, hi = bounds.validity_interval("thm2")
-    if not lo - 1e-12 <= r <= hi + 1e-12:
-        raise ValueError(f"r={r} outside the validity interval [{lo}, {hi}]")
+    bounds._check_thm_interval("thm2", r)
     if x_steps < 2:
         raise ValueError("x_steps must be at least 2")
     r2 = r * r
@@ -808,11 +804,9 @@ def _thm3_rows(x_steps: int = 1000) -> List[BoundEvaluation]:
 
 
 def _cor2_h(a: float, w):
-    """H_a(w); w a float or an array, whose logarithms ``_log1m_tails``
-    takes element by element."""
+    """H_a(w); w a float or an array."""
     c = 4.0 * a * a / 9.0
-    tail = _log1m_tails(w) if isinstance(w, np.ndarray) else _log1m_tail(w)
-    return (1.0 - c) ** 2 * tail - w * w / 2.0
+    return (1.0 - c) ** 2 * _log1m_tail(w) - w * w / 2.0
 
 
 def _cor2_reduced(v: float) -> float:
@@ -945,8 +939,7 @@ def _thm5_case2_lhs(a, r: float):
     an array): (1 - a^2)(a^2 r^2 + ((9 - 4a^2)^2 / 12)(log(1/(1-r^2)) - r^2))."""
     r2 = r * r
     log_term = math.log(1.0 / (1.0 - r2)) - r2
-    q = 9.0 - 4.0 * a * a
-    q2 = q**2 if isinstance(q, float) else _libm_pow(q, 2)
+    q2 = _pow(9.0 - 4.0 * a * a, 2)
     return (1.0 - a * a) * (a * a * r2 + (q2 / 12.0) * log_term)
 
 
@@ -1047,7 +1040,7 @@ def _thm5_rows(
             "ring/upper",
             {"r": R_HI, "x": x_hi_ring},
             peak_hi,
-            27.0 / 8.0 * R_HI**4,
+            bounds._thm_rhs_raw("thm5", R_HI),
         )
     )
     return instances
@@ -1066,7 +1059,7 @@ def sharpness_scan(bound_id: str, r: float, grid: ScanGrid) -> VerdictReport:
     if not 0.0 < r < 1.0:
         raise ValueError("r must lie in (0, 1)")
     peak, arg = _family_peak(_FAMILY_LHS[bound_id], r, grid)
-    rhs = RHS_SCALE[bound_id] * r**4
+    rhs = bounds._thm_rhs_raw(bound_id, r)
     inst = BoundEvaluation(
         bound_id, f"scan/r={r:.8f}", {"r": r, "x": arg}, peak, rhs
     )
@@ -1082,11 +1075,10 @@ def crossing_radius(
 ):
     """Bisect the radius where the family peak crosses the quartic bound."""
     functional = _FAMILY_LHS[bound_id]
-    scale = RHS_SCALE[bound_id]
 
     def slack_deficit(r: float) -> float:
         peak, _ = _family_peak(functional, r, grid)
-        return peak - scale * r**4
+        return peak - bounds._thm_rhs_raw(bound_id, r)
 
     return bisect(slack_deficit, r_lo, r_hi, tol=tol)
 

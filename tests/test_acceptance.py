@@ -13,11 +13,13 @@ faithfully and therefore fails.  See the README for the full analysis.
 """
 
 import math
+import os
 import subprocess
 import sys
 
 import numpy as np
 
+import blochsums
 from blochsums import (
     ALL_SUITES,
     R_HI,
@@ -310,6 +312,11 @@ def test_11_dominance_properties_and_determinism(acceptance_recorder, tmp_path):
         except ValueError:
             abel_failures += 1
 
+    # The runner imports the package this test imported: pytest's
+    # ``pythonpath`` setting reaches only this interpreter.
+    src = os.path.dirname(os.path.dirname(blochsums.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
     returncodes = []
     payloads = []
     for tag in ("first", "second"):
@@ -318,6 +325,7 @@ def test_11_dominance_properties_and_determinism(acceptance_recorder, tmp_path):
             [sys.executable, "-m", "blochsums", "verify", "--out", str(out_dir)],
             capture_output=True,
             text=True,
+            env=env,
         )
         returncodes.append(proc.returncode)
         payloads.append(

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -380,6 +381,23 @@ class TestTableCommand:
             except ValueError:
                 expected = "out_of_range"
             assert val_cell == expected
+
+    @pytest.mark.parametrize("x", ["1e-300", "1e-78"])
+    def test_cor1_at_tiny_a_tends_to_its_limit(self, capsys, x):
+        # B_a(r) -> 27 r^4 / 8 as a -> 0, where scale * tail would divide by
+        # a^4 = 0 (a = 1e-300) or overflow against an underflowing tail.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a NumPy RuntimeWarning fails too
+            rc, out, err = run_cli(
+                capsys, "table", "--bounds", "cor1", "--x", x, "--grid", "0.1:0.5:3"
+            )
+        assert (rc, err) == (0, "")
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 3
+        for row in rows:
+            _, _, r_cell, val_cell = row.split(",")
+            r = float(r_cell)
+            assert math.isclose(float(val_cell), 27.0 * r**4 / 8.0, rel_tol=1e-12)
 
     def test_unknown_bound_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "table", "--bounds", "thm7", "--grid", "0:0.3:3")

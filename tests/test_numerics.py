@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochsums import bisect, golden_max, remark6_poly, sign_changes, trapezoid
-from blochsums.numerics import _log1m_tail
+from blochsums.numerics import _log1m_tail, _pow
 
 
 def log1m_tail_50_digits(t: Decimal) -> Decimal:
@@ -121,3 +121,22 @@ class TestLog1mTail:
 
     def test_zero(self):
         assert _log1m_tail(0.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "helper",
+    [_log1m_tail] + [lambda v, k=k: _pow(v, k) for k in (2, 4, 5, 282)],
+    ids=["log1m_tail", "pow2", "pow4", "pow5", "pow282"],
+)
+def test_array_has_the_bits_of_float_and_numpy_scalar_calls(helper):
+    # The closed forms take a radius or a grid through these two helpers;
+    # NumPy's vector ``**`` and ``np.log1p`` round some elements differently.
+    rng = np.random.default_rng(2022)
+    vs = np.concatenate(
+        [rng.uniform(0.0, 0.999, 5000), np.logspace(-12, -2, 200), [0.0, 0.01]]
+    )
+    got = helper(vs)
+    floats = np.array([helper(v) for v in vs.tolist()])
+    scalars = np.array([helper(v) for v in vs])
+    assert np.array_equal(got.view(np.uint64), floats.view(np.uint64))
+    assert np.array_equal(got.view(np.uint64), scalars.view(np.uint64))

@@ -352,19 +352,40 @@ class TestArrayClosedForms:
             assert np.array_equal(got.view(np.uint64), scalars.view(np.uint64)), r
 
 
-    @pytest.mark.parametrize("form", [bounds._thm1_B_raw, bounds._thm1_B2_raw])
+    @pytest.mark.parametrize(
+        "form",
+        [
+            bounds._thm1_B_raw,
+            bounds._thm1_B2_raw,
+            bounds._basic_raw,
+            bounds._prop1_raw,
+            bounds._cor1_raw,
+            bounds._thm_rhs_raw,
+        ],
+    )
     def test_r_array_equals_scalar(self, form):
-        # ``table`` calls the thm1 closed forms with an array of radii.
+        # ``table`` calls each closed form with an array of radii.
         rng = np.random.default_rng(2020)
         rs = np.concatenate(
             [rng.uniform(0.0, 1.0, 5000), np.linspace(-0.2, 1.2, 1401)]
         )
-        for x in (1e-3, 0.05, 0.2, 0.45, R_HI - 1e-3, float(rng.uniform(0.0, R_HI))):
-            got = form(x, rs)
-            floats = np.array([form(x, r) for r in rs.tolist()])
-            scalars = np.array([form(x, r) for r in rs])
-            assert np.array_equal(got.view(np.uint64), floats.view(np.uint64)), x
-            assert np.array_equal(got.view(np.uint64), scalars.view(np.uint64)), x
+        thm1_xs = (1e-3, 0.05, 0.2, 0.45, R_HI - 1e-3, float(rng.uniform(0.0, R_HI)))
+        params = {
+            bounds._basic_raw: [()],
+            bounds._prop1_raw: [(1,), (6,), (141,)],
+            # a = 1e-75 and 0.2 mix both of B_a's forms in one array (tiny r
+            # takes the small-tail form); the two tinier a take only it.
+            bounds._cor1_raw: [(1e-300,), (1e-78,), (1e-75,), (0.2,), (0.7,)],
+            bounds._thm_rhs_raw: [(b,) for b in bounds.VALIDITY],
+        }.get(form, [(x,) for x in thm1_xs])
+        if form is bounds._basic_raw:
+            rs = rs[np.abs(rs) != 1.0]  # its pole: a scalar call divides by 0
+        for p in params:
+            got = form(*p, rs)
+            floats = np.array([form(*p, r) for r in rs.tolist()])
+            scalars = np.array([form(*p, r) for r in rs])
+            assert np.array_equal(got.view(np.uint64), floats.view(np.uint64)), p
+            assert np.array_equal(got.view(np.uint64), scalars.view(np.uint64)), p
 
     def test_cor2_h_w_array_equals_scalar(self):
         # The cor2 grid calls H_a with one row of w at a time; a comes from
