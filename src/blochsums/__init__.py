@@ -31,7 +31,6 @@ from .bounds import (
 )
 from .families import (
     X_SUP,
-    ExtremalParameter,
     a_of_x,
     b2_max,
     bloch_membership_scan,
@@ -81,7 +80,6 @@ __all__ = [
     "tail_majorant_extremal",
     # families
     "X_SUP",
-    "ExtremalParameter",
     "a_of_x",
     "b2_max",
     "x_of_a",

@@ -21,15 +21,16 @@ an ``_*_inside`` radius predicate, both taking a float or an array of radii:
 the public function raises when its predicate is false, and ``table``
 evaluates a whole column with the same two in one call.  A predicate raises
 on a parameter outside its domain (x, a, n or the bound id).  All surd
-constants are evaluated once from integers at import time.
+constants are evaluated once from integers at import time; ``SQRT3`` and
+``R_HI`` = 1/sqrt(3) are the package's one definition of each.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -103,7 +104,7 @@ _EDGE = 1e-12
 class BoundEvaluation:
     """One inequality instance: lhs <= rhs claimed, with a tail certificate.
 
-    ``slack`` is rhs - lhs (computed when not supplied).  An instance is
+    ``slack`` is rhs - lhs, computed on construction.  An instance is
     accepted when slack >= -(tol * (1 + |rhs|) + tail_certificate): the
     relative part absorbs double-precision noise, the additive part is the
     explicit truncation-error budget of the lhs.
@@ -115,11 +116,10 @@ class BoundEvaluation:
     lhs: float
     rhs: float
     tail_certificate: float = 0.0
-    slack: Optional[float] = None
+    slack: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.slack is None:
-            self.slack = self.rhs - self.lhs
+        self.slack = self.rhs - self.lhs
         if not math.isfinite(self.slack):
             raise ValueError("slack must be finite")
         if self.tail_certificate < 0.0:

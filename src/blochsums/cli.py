@@ -96,20 +96,6 @@ class RunConfig:
         if self.format not in ("csv", "json"):
             raise UsageError("format must be 'csv' or 'json'")
 
-    def to_text(self) -> str:
-        lines = [f"suite = {','.join(self.suites)}", f"format = {self.format}"]
-        if self.out is not None:
-            lines.append(f"out = {self.out}")
-        lines.append(f"seed = {self.seed}")
-        lines.append(f"tol = {self.tol!r}")
-        if self.grid is not None:
-            lo, hi, steps = self.grid
-            lines.append(f"grid = {lo!r}:{hi!r}:{steps}")
-        lines.append(f"truncation = {self.truncation}")
-        if self.r_values is not None:
-            lines.append(f"r_values = {','.join(repr(v) for v in self.r_values)}")
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         values: Dict[str, str] = {}
@@ -235,6 +221,15 @@ def _write_text(path: str, text: str) -> None:
             fh.write(text)
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
+
+
+def _emit(text: str, out_path: Optional[str], out) -> None:
+    """Write text to out_path and say so on out, or print it to out."""
+    if out_path is not None:
+        _write_text(out_path, text)
+        print(f"wrote {out_path}", file=out)
+    else:
+        out.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +389,7 @@ def cmd_table(
         prefix = f"{bid},{x_cell},"
         for r_cell, cell in zip(r_cells, _table_column(bid, x, radii)):
             lines.append(f"{prefix}{r_cell},{cell}\n")
-    text = "".join(lines)
-    if out_path is not None:
-        _write_text(out_path, text)
-        print(f"wrote {out_path}", file=out)
-    else:
-        out.write(text)
+    _emit("".join(lines), out_path, out)
     return 0
 
 
@@ -443,12 +433,7 @@ def cmd_scan(
             f"{_fmt(float(r))},{_fmt(row.lhs)},{_fmt(row.rhs)},"
             f"{_fmt(row.slack)},{_fmt(row.params['x'])}"
         )
-    text = "\n".join(lines) + "\n"
-    if out_path is not None:
-        _write_text(out_path, text)
-        print(f"wrote {out_path}", file=out)
-    else:
-        out.write(text)
+    _emit("\n".join(lines) + "\n", out_path, out)
 
     crossing = None
     for i in range(len(radii) - 1):

@@ -23,18 +23,15 @@ Schwarz composition, which preserves membership by construction).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
+from .bounds import R_HI, SQRT3
 from .numerics import bisect
 from .series import KIND_DERIVATIVE, CoefficientSeries
 
 __all__ = [
     "X_SUP",
     "X_GUARD",
-    "ExtremalParameter",
     "a_of_x",
     "b2_max",
     "x_of_a",
@@ -45,14 +42,12 @@ __all__ = [
     "bloch_membership_scan",
 ]
 
-X_SUP = 1.0 / math.sqrt(3.0)
+X_SUP = R_HI  # the parameter interval ends where the radius interval does
 
 # Family constructors clamp x into [X_GUARD, X_SUP - X_GUARD]: the endpoints
 # are degenerate (a -> 0, or the second-coefficient boundary collapses) and
 # the k = 1, 2 coefficient formulas divide by x.
 X_GUARD = 1e-6
-
-_SQRT3 = math.sqrt(3.0)
 
 
 def a_of_x(x: float) -> float:
@@ -67,14 +62,14 @@ def a_of_x(x: float) -> float:
 
 def _a_of_x_raw(x):
     """``a_of_x`` without the range check; x a float or an array."""
-    return 1.5 * _SQRT3 * x * (1.0 - x * x)
+    return 1.5 * SQRT3 * x * (1.0 - x * x)
 
 
 def b2_max(x: float) -> float:
     """Extremal second coefficient (3 sqrt(3)/4) (1 - 3x^2)(1 - x^2)."""
     if not 0.0 <= x <= X_SUP:
         raise ValueError("x must lie in [0, 1/sqrt(3)]")
-    return 0.75 * _SQRT3 * (1.0 - 3.0 * x * x) * (1.0 - x * x)
+    return 0.75 * SQRT3 * (1.0 - 3.0 * x * x) * (1.0 - x * x)
 
 
 def x_of_a(a: float, tol: float = 1e-14) -> float:
@@ -93,27 +88,6 @@ def x_of_a(a: float, tol: float = 1e-14) -> float:
     width = max(tol / 2.6, 4e-17)
     result = bisect(lambda t: a_of_x(t) - a, 0.0, X_SUP, tol=width, max_iter=200)
     return result.root
-
-
-@dataclass(frozen=True)
-class ExtremalParameter:
-    """Boundary parameter x with its derived coefficient pair (a, b2max)."""
-
-    x: float
-    a: float
-    b2max: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.x < X_SUP:
-            raise ValueError("x must lie in (0, 1/sqrt(3))")
-        if not 0.0 < self.a < 1.0:
-            raise ValueError("a must lie in (0, 1) on the open interval")
-        if self.b2max < 0.0:
-            raise ValueError("b2max must be nonnegative")
-
-    @classmethod
-    def from_x(cls, x: float) -> "ExtremalParameter":
-        return cls(x=x, a=a_of_x(x), b2max=b2_max(x))
 
 
 def _clamp_x(x: float) -> float:
@@ -136,8 +110,7 @@ def g_prime_coeffs(x: float, n: int) -> CoefficientSeries:
     a = a_of_x(xc)
     out = np.zeros(n + 1, dtype=np.complex128)
     out[0] = a
-    if n >= 1:
-        out[1] = a * (3.0 * xc * xc - 1.0) / xc  # 2 * A_2
+    out[1] = a * (3.0 * xc * xc - 1.0) / xc  # 2 * A_2
     if n >= 2:
         k = np.arange(3, n + 2, dtype=np.float64)
         powers = xc ** (k - 3.0)

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bounds import R_HI, SQRT3
+
 __all__ = [
     "KIND_FUNCTION",
     "KIND_DERIVATIVE",
@@ -40,10 +42,6 @@ KIND_FUNCTION = "function"
 KIND_DERIVATIVE = "derivative"
 
 _KINDS = (KIND_FUNCTION, KIND_DERIVATIVE)
-
-# Guarded parameter interval for the boundary family; the endpoints are
-# degenerate (the leading coefficient vanishes at 0, the second at the sup).
-_X_SUP = 1.0 / math.sqrt(3.0)
 
 
 @dataclass
@@ -70,9 +68,6 @@ class CoefficientSeries:
     @property
     def order(self) -> int:
         return self.coeffs.size - 1
-
-    def __len__(self) -> int:
-        return self.coeffs.size
 
     def evaluate(self, z: complex | np.ndarray) -> complex | np.ndarray:
         """Horner evaluation of the truncated series at z (scalar or array)."""
@@ -130,12 +125,8 @@ def weighted_power_sum(
     k = np.arange(k_min, s.order + 1, dtype=np.float64)
     mags = np.abs(s.coeffs[k_min:]) ** 2
     exponent = 2.0 * k if mode == "r2k" else 2.0 * k - 2.0
-    if r == 0.0:
-        # r^0 = 1 terms only; avoid 0**0 ambiguity by explicit selection.
-        powers = np.where(exponent == 0.0, 1.0, 0.0)
-    else:
-        powers = r**exponent
-    return float(np.sum(k**p * mags * powers))
+    # At r = 0 only the r^0 = 1 term survives: NumPy takes 0.0**0.0 as 1.0.
+    return float(np.sum(k**p * mags * r**exponent))
 
 
 def circle_mean_square(s: CoefficientSeries, r: float, m: int) -> float:
@@ -195,7 +186,7 @@ def tail_majorant_extremal(x: float, r: float, p: int, n: int) -> float:
     of k^m q^k for m up to p+2.  The bound is guaranteed to be at least the
     true tail; it underflows to zero exactly when the true tail does.
     """
-    if not 0.0 < x < _X_SUP:
+    if not 0.0 < x < R_HI:
         raise ValueError("x must lie in (0, 1/sqrt(3))")
     if not 0.0 <= r < 1.0:
         raise ValueError("r must lie in [0, 1)")
@@ -203,13 +194,11 @@ def tail_majorant_extremal(x: float, r: float, p: int, n: int) -> float:
         raise ValueError("p must be 1 or 2")
     if n < 2:
         raise ValueError("n must be at least 2")
-    q = (x * r) ** 2
-    if q >= 1.0:
-        raise ValueError("(x*r)^2 must be below 1")
+    q = (x * r) ** 2  # below 1/3
     if q == 0.0:
         return 0.0
     # Leading boundary-family coefficient; see the family constructors.
-    a = 1.5 * math.sqrt(3.0) * x * (1.0 - x * x)
+    a = 1.5 * SQRT3 * x * (1.0 - x * x)
     u = 1.0 - x * x
     s_p = _geometric_power_tail(p, q, n)
     s_p1 = _geometric_power_tail(p + 1, q, n)

@@ -37,6 +37,7 @@ from . import bounds
 from .bounds import (
     R_HI,
     R_THM5,
+    SQRT3,
     THM2_R_LO,
     BoundEvaluation,
     bound_basic,
@@ -387,15 +388,18 @@ def rogosinski_dominance(
     return VerdictReport.from_instances("rogosinski", instances, DEFAULT_TOL)
 
 
-def _rogosinski_worst(
-    f: CoefficientSeries, g: CoefficientSeries, n_max: int
-) -> Tuple[float, int]:
-    """Largest prefix excess max_n (sum |f_k|^2 - sum |g_k|^2) and its n."""
-    pf = _prefix_power_sums(f, n_max)
-    pg = _prefix_power_sums(g, n_max)
-    diff = pf - pg
-    n = int(np.argmax(diff))
-    return float(diff[n]), n
+def _rogosinski_row(
+    bound_id: str,
+    instance_id: str,
+    params: Dict[str, float],
+    f: CoefficientSeries,
+    g: CoefficientSeries,
+    n_max: int,
+) -> BoundEvaluation:
+    """Row for the largest prefix excess max_n (sum |f_k|^2 - sum |g_k|^2)
+    <= 0 over n <= n_max, its n recorded under "n"."""
+    diff = _prefix_power_sums(f, n_max) - _prefix_power_sums(g, n_max)
+    return _grid_max(bound_id, instance_id, params, "n", range(n_max + 1), diff)
 
 
 def abel_weighted_dominance(
@@ -465,15 +469,11 @@ def _random_schwarz(rng: np.random.Generator) -> SchwarzSpec:
     return SchwarzSpec("blaschke_product", tuple(zeros))
 
 
-def _random_bloch_prime(
-    rng: np.random.Generator, n: int
-) -> Tuple[str, CoefficientSeries]:
+def _random_bloch_prime(rng: np.random.Generator, n: int) -> CoefficientSeries:
     """A seeded class member's derivative: boundary family or monomial family."""
     if rng.uniform() < 0.7:
-        x = rng.uniform(0.02, X_SUP - 0.02)
-        return f"boundary(x={x:.3f})", g_prime_coeffs(x, n)
-    order = int(rng.integers(1, 7))
-    return f"monomial(n={order})", f_n_prime(order)
+        return g_prime_coeffs(rng.uniform(0.02, X_SUP - 0.02), n)
+    return f_n_prime(int(rng.integers(1, 7)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +510,34 @@ def _budget(
     budget: float,
 ) -> BoundEvaluation:
     return BoundEvaluation(bound_id, instance_id, params, abs(deviation), budget)
+
+
+def _grid_max(
+    bound_id: str,
+    instance_id: str,
+    params: Dict[str, float],
+    key: str,
+    nodes: Sequence[float],
+    values: np.ndarray,
+    rhs: float = 0.0,
+) -> BoundEvaluation:
+    """Row for the first largest of ``values`` <= rhs, its node recorded in
+    the params under ``key``."""
+    i = int(np.argmax(values))
+    return BoundEvaluation(
+        bound_id, instance_id, {**params, key: float(nodes[i])}, float(values[i]), rhs
+    )
+
+
+def _refined_max(
+    f: Callable[[float], float], lo: float, hi: float
+) -> Tuple[float, float]:
+    """Golden-section maximum of f on [lo, hi] as (argmax, value), the value
+    raised to a 200-point pre-scan's maximum where golden falls short; f
+    takes a float or an array."""
+    pre = f(np.linspace(lo, hi, 200))
+    arg, val = golden_max(f, lo, hi, tol=1e-12)
+    return arg, max(val, float(np.max(pre)))
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +622,8 @@ def verify_thm1(x: float, r: float, grid: ScanGrid) -> VerdictReport:
             instances.append(
                 BoundEvaluation(bid, f"sample{i:03d}", sample_params, lhs, rhs, tail)
             )
-        excess, worst_n = _rogosinski_worst(comp, g, n_max)
         instances.append(
-            BoundEvaluation(
-                "thm1_B",
-                f"rogosinski{i:03d}",
-                {**sample_params, "n": float(worst_n)},
-                excess,
-                0.0,
-            )
+            _rogosinski_row("thm1_B", f"rogosinski{i:03d}", sample_params, comp, g, n_max)
         )
     return VerdictReport.from_instances("thm1", instances, DEFAULT_TOL)
 
@@ -652,23 +673,9 @@ def _thm2_rows(r: float, x_steps: int = 1000) -> List[BoundEvaluation]:
         (quad - rhs) - (27.0 / 4.0) * (1.0 - 3.0 * r2) * xs * xs * sextic
     )
 
-    i_quad = int(np.argmax(quad))
-    i_sext = int(np.argmax(sextic))
     instances = [
-        BoundEvaluation(
-            "thm2",
-            "quadratic_form",
-            {"r": r, "x": float(xs[i_quad])},
-            float(quad[i_quad]),
-            rhs,
-        ),
-        BoundEvaluation(
-            "thm2",
-            "sextic_sign",
-            {"r": r, "x": float(xs[i_sext])},
-            float(sextic[i_sext]),
-            0.0,
-        ),
+        _grid_max("thm2", "quadratic_form", {"r": r}, "x", xs, quad, rhs),
+        _grid_max("thm2", "sextic_sign", {"r": r}, "x", xs, sextic),
         _budget(
             "thm2",
             "identity",
@@ -704,7 +711,7 @@ def _thm2_rows(r: float, x_steps: int = 1000) -> List[BoundEvaluation]:
 def thm3_surd_coefficients() -> Tuple[float, ...]:
     """Exact surd coefficients of the degree-6 polynomial (x^1 .. x^6)."""
     s = _SQRT65
-    q = math.sqrt(3.0)
+    q = SQRT3
     return (
         (9.0 / 4.0) * q * (-73.0 + 9.0 * s),
         (9.0 / 8.0) * (-139.0 + 17.0 * s),
@@ -725,7 +732,7 @@ def _thm3_sextic(x: float) -> float:
 def _thm3_raw(x: float) -> float:
     """Degree-8 display of the same expression, as an independent route."""
     s = _SQRT65
-    q = math.sqrt(3.0)
+    q = SQRT3
     inner = (
         2.0 * q * (73.0 - 9.0 * s)
         + (-737.0 + 91.0 * s) * x
@@ -767,16 +774,7 @@ def _thm3_rows(x_steps: int = 1000) -> List[BoundEvaluation]:
         raise ValueError("x_steps must be at least 2")
     xs = np.linspace(X_GUARD, X_SUP - X_GUARD, x_steps)
     sextic = np.array([_thm3_sextic(x) for x in xs])
-    i_max = int(np.argmax(sextic))
-    instances = [
-        BoundEvaluation(
-            "thm3",
-            "negativity",
-            {"x": float(xs[i_max])},
-            float(sextic[i_max]),
-            0.0,
-        )
-    ]
+    instances = [_grid_max("thm3", "negativity", {}, "x", xs, sextic)]
     for j, (exact, printed) in enumerate(
         zip(thm3_surd_coefficients(), THM3_PRINTED_DECIMALS), start=1
     ):
@@ -795,7 +793,7 @@ def _thm3_rows(x_steps: int = 1000) -> List[BoundEvaluation]:
     for x in samples:
         raw = _thm3_raw(x)
         scale = 1.0 + abs(raw)
-        factored = (1.0 - math.sqrt(3.0) * x) ** 2 * _thm3_sextic(x)
+        factored = (1.0 - SQRT3 * x) ** 2 * _thm3_sextic(x)
         worst_factor = max(worst_factor, abs(raw - factored) / scale)
         worst_quad = max(worst_quad, abs(raw - _thm3_quadratic(x)) / scale)
     instances.append(_budget("thm3", "factor_vs_raw", {}, worst_factor, 1e-10))
@@ -852,16 +850,7 @@ def _cor2_rows(a_steps: int = 200, w_steps: int = 200) -> List[BoundEvaluation]:
     ]
     vs = np.linspace(0.0, 4.0 / 9.0, w_steps)
     reduced = np.array([_cor2_reduced(v) for v in vs])
-    i_max = int(np.argmax(reduced))
-    instances.append(
-        BoundEvaluation(
-            "cor2",
-            "reduced_grid",
-            {"v": float(vs[i_max])},
-            float(reduced[i_max]),
-            0.0,
-        )
-    )
+    instances.append(_grid_max("cor2", "reduced_grid", {}, "v", vs, reduced))
     instances.append(
         BoundEvaluation(
             "cor2",
@@ -980,16 +969,7 @@ def _thm5_rows(
     x_hi = min(0.25, r_admissible(r) - 1e-9)
     xs = np.linspace(X_GUARD, x_hi, 400)
     dvals = _thm5_family_lhs(xs, r) - rhs
-    i_max = int(np.argmax(dvals))
-    instances.append(
-        BoundEvaluation(
-            "thm5",
-            "case1/negativity",
-            {"r": r, "x": float(xs[i_max])},
-            float(dvals[i_max]),
-            0.0,
-        )
-    )
+    instances.append(_grid_max("thm5", "case1/negativity", {"r": r}, "x", xs, dvals))
     if abs(r - R_THM5) < 1e-12:
         q = -4.0 * case1_poly_coeffs(r)[2:]  # -4 P(y)/y^2, y^0 .. y^5
         for j, (got, printed) in enumerate(zip(q, THM5_CASE1_PRINTED_DECIMALS)):
@@ -1004,9 +984,7 @@ def _thm5_rows(
             )
 
     # Case 2: logarithmic envelope on 3/5 <= a <= 3/4.
-    pre = _thm5_case2_lhs(np.linspace(0.6, 0.75, 200), r)
-    arg2, val2 = golden_max(lambda a: _thm5_case2_lhs(a, r), 0.6, 0.75, tol=1e-12)
-    best2 = max(val2, float(np.max(pre)))
+    arg2, best2 = _refined_max(lambda a: _thm5_case2_lhs(a, r), 0.6, 0.75)
     instances.append(
         BoundEvaluation("thm5", "case2/max_value", {"r": r, "a": arg2}, best2, rhs)
     )
@@ -1021,9 +999,7 @@ def _thm5_rows(
     )
 
     # Case 3: direct maximization on 3/4 <= a <= 1.
-    pre3 = _thm5_case3_lhs(np.linspace(0.75, 1.0, 200), r)
-    arg3, val3 = golden_max(lambda a: _thm5_case3_lhs(a, r), 0.75, 1.0, tol=1e-12)
-    best3 = max(val3, float(np.max(pre3)))
+    arg3, best3 = _refined_max(lambda a: _thm5_case3_lhs(a, r), 0.75, 1.0)
     instances.append(
         BoundEvaluation("thm5", "case3/max_value", {"r": r, "a": arg3}, best3, rhs)
     )
@@ -1153,19 +1129,20 @@ def _suite_prop1(grid: ScanGrid) -> List[BoundEvaluation]:
             )
     sample_total = max(5, grid.sample_count // 5)
     for i in range(sample_total):
-        _, base = _random_bloch_prime(rng, grid.truncation)
+        base = _random_bloch_prime(rng, grid.truncation)
         spec = _random_schwarz(rng)
         comp = make_subordinate(base, spec, grid.truncation)
         comp_f = integrate_series(comp, 0.0)
         for n in range(1, 7):
-            rn = r_star(n)
-            worst = None
-            for r in np.linspace(0.15, rn, 5):
-                tail = weighted_power_sum(comp_f, 2, r, "r2k_minus_2", k_min=n + 1)
-                cap = bound_prop1(n, r)
-                if worst is None or tail - cap > worst[0]:
-                    worst = (tail - cap, r, tail, cap)
-            _, r_w, tail_w, cap_w = worst
+            # The radius of largest excess tail - cap; max keeps the first.
+            tail_w, cap_w, r_w = max(
+                (
+                    (weighted_power_sum(comp_f, 2, r, "r2k_minus_2", k_min=n + 1),
+                     bound_prop1(n, r), r)
+                    for r in np.linspace(0.15, r_star(n), 5)
+                ),
+                key=lambda t: t[0] - t[1],
+            )
             instances.append(
                 BoundEvaluation(
                     "prop1",
@@ -1243,12 +1220,17 @@ def _phi_weighted_functional(phi: CoefficientSeries, r: float) -> float:
 
 
 def _cor1_tail_certificate(a: float, r: float, n: int) -> float:
-    """Tail of the weighted functional for the geometric majorant series."""
-    w = 4.0 * a * a * r * r / 3.0
-    if w >= 1.0:
-        raise ValueError("weight ratio must stay below 1")
+    """Bound on what ``_phi_weighted_functional`` drops from the majorant
+    series truncated at order n.
+
+    With lead = ((9 - 4a^2)/6)^2 and t = 4 a^2 r^2 / 3 (below 4/9 for
+    a < 1 and r <= 1/sqrt(3)), the dropped terms j >= n+1 are
+    lead (3 r^2)^2 t^(j-1) / (3 (j+1)), at most
+    lead (3 r^2)^2 t^n / (3 (n+2) (1-t)) in total.
+    """
+    t = 4.0 * a * a * r * r / 3.0
     lead = ((9.0 - 4.0 * a * a) / 6.0) ** 2
-    return lead * w ** (n + 2) / (3.0 * (n + 2) * (1.0 - w))
+    return lead * (3.0 * r * r) ** 2 * t**n / (3.0 * (n + 2) * (1.0 - t))
 
 
 def _suite_cor1(grid: ScanGrid) -> List[BoundEvaluation]:
@@ -1297,15 +1279,8 @@ def _suite_cor1(grid: ScanGrid) -> List[BoundEvaluation]:
                 _cor1_tail_certificate(a, r, n),
             )
         )
-        excess, worst_n = _rogosinski_worst(phi, h, n_max)
         instances.append(
-            BoundEvaluation(
-                "cor1",
-                f"rogosinski{i:02d}",
-                {"a": a, "n": float(worst_n)},
-                excess,
-                0.0,
-            )
+            _rogosinski_row("cor1", f"rogosinski{i:02d}", {"a": a}, phi, h, n_max)
         )
     lam_r = 0.5
     for t in range(25):

@@ -33,11 +33,28 @@ def run_cli(capsys, *argv):
 
 class TestRunConfig:
     def test_round_trip_defaults(self):
-        cfg = RunConfig()
-        assert RunConfig.from_text(cfg.to_text()) == cfg
+        # The defaults' text form, every key that has one named.
+        text = (
+            "suite = basic,prop1,thm1_B,thm1_B2,thm2,thm3,cor1,cor2,thm5\n"
+            "format = csv\n"
+            "seed = 42\n"
+            "tol = 1e-10\n"
+            "truncation = 256\n"
+        )
+        assert RunConfig.from_text(text) == RunConfig()
 
     def test_round_trip_full(self):
-        cfg = RunConfig(
+        text = (
+            "suite = thm5,basic\n"
+            "out = reports\n"
+            "format = json\n"
+            "seed = 7\n"
+            "tol = 2.5e-11\n"
+            "grid = 0.002:0.55:123\n"
+            "truncation = 192\n"
+            "r_values = 0.3695154099741958,0.41\n"
+        )
+        assert RunConfig.from_text(text) == RunConfig(
             suites=("thm5", "basic"),
             out="reports",
             format="json",
@@ -47,7 +64,6 @@ class TestRunConfig:
             truncation=192,
             r_values=(0.3695154099741958, 0.41),
         )
-        assert RunConfig.from_text(cfg.to_text()) == cfg
 
     def test_comments_and_blank_lines(self):
         text = "# run setup\n\nsuite = thm2\nseed = 5\n"

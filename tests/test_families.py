@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from blochsums import (
     X_SUP,
-    ExtremalParameter,
     a_of_x,
     b2_max,
     bloch_membership_scan,
@@ -51,13 +50,6 @@ class TestBoundaryParametrization:
         x = x_of_a(a)
         assert 0.0 < x < X_SUP
         assert abs(a_of_x(x) - a) < 1e-11
-
-    def test_extremal_parameter_bundle(self):
-        p = ExtremalParameter.from_x(0.25)
-        assert p.a == pytest.approx(a_of_x(0.25))
-        assert p.b2max == pytest.approx(b2_max(0.25))
-        with pytest.raises(ValueError):
-            ExtremalParameter(x=-1.0, a=0.5, b2max=0.5)
 
 
 class TestBoundaryFamilySeries:

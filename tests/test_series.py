@@ -28,7 +28,7 @@ class TestCoefficientSeries:
     def test_basic_construction(self):
         s = CoefficientSeries([1.0, 2.0, 3.0], "function")
         assert s.order == 2
-        assert len(s) == 3
+        assert s.coeffs.size == 3
         assert s.evaluate(1.0) == pytest.approx(6.0)
 
     def test_rejects_empty(self):
@@ -89,9 +89,12 @@ class TestWeightedPowerSum:
         assert weighted_power_sum(f, 2, r, "r2k", k_min=2) == pytest.approx(0.25)
 
     def test_r_zero(self):
-        f = CoefficientSeries([0.0, 3.0, 4.0], "function")
-        assert weighted_power_sum(f, 2, 0.0, "r2k_minus_2") == pytest.approx(9.0)
-        assert weighted_power_sum(f, 2, 0.0, "r2k") == 0.0
+        # Only the r^0 = 1 weight of k = 1 is left: |b_1|^2 exactly.
+        f = CoefficientSeries([0.5, 3.0 + 4.0j, 2.0, -1.0j], "function")
+        for p in (1, 2):
+            assert weighted_power_sum(f, p, 0.0, "r2k_minus_2") == 25.0
+            assert weighted_power_sum(f, p, 0.0, "r2k") == 0.0
+            assert weighted_power_sum(f, p, 0.0, "r2k_minus_2", k_min=2) == 0.0
 
     def test_k_min_beyond_order(self):
         f = CoefficientSeries([0.0, 1.0], "function")

@@ -28,18 +28,23 @@ from blochsums import (
     verify_thm3,
     verify_thm5,
 )
-from blochsums import bounds
+from blochsums import bounds, verify
 from blochsums.bounds import THM2_R_LO, R_HI, r_admissible
 from blochsums.families import X_GUARD, X_SUP, f_n_prime, x_of_a
 from blochsums.numerics import golden_max
 from blochsums.verify import (
     _FAMILY_LHS,
     DEFAULT_TOL,
+    _cor1_tail_certificate,
     _cor2_h,
     _cor2_rows,
     _family_peak,
+    _grid_max,
+    _phi_weighted_functional,
     _random_bloch_prime,
     _random_schwarz,
+    _rogosinski_row,
+    _suite_prop1,
     _thm5_case2_lhs,
     _thm5_case3_lhs,
     _thm5_family_lhs,
@@ -189,7 +194,7 @@ class TestRogosinskiDominance:
     @settings(max_examples=25, deadline=None)
     def test_subordinates_always_dominated(self, seed):
         rng = np.random.default_rng(seed)
-        _, base = _random_bloch_prime(rng, 96)
+        base = _random_bloch_prime(rng, 96)
         comp = make_subordinate(base, _random_schwarz(rng), 96)
         assert rogosinski_dominance(comp, base, 96).passed
 
@@ -283,6 +288,51 @@ class TestTheoremSuites:
         }
         assert "case1/negativity" in failing
         assert "ring/lower" in failing
+
+
+class TestRowHelpers:
+    def test_grid_max_takes_the_first_largest_value(self):
+        values = np.array([1.0, 3.0, 2.0, 3.0])
+        row = _grid_max("thm2", "demo", {"r": 0.5}, "x", [0.1, 0.2, 0.3, 0.4], values)
+        assert (row.bound_id, row.instance_id) == ("thm2", "demo")
+        assert row.params == {"r": 0.5, "x": 0.2}
+        assert (row.lhs, row.rhs) == (3.0, 0.0)
+
+    def test_grid_max_leaves_the_given_params_alone(self):
+        params = {"a": 0.3}
+        row = _grid_max("cor1", "demo", params, "n", range(3), np.zeros(3), rhs=1.0)
+        assert row.params == {"a": 0.3, "n": 0.0}
+        assert params == {"a": 0.3}
+        assert row.rhs == 1.0
+
+    def test_rogosinski_row_reports_the_worst_prefix_and_its_length(self):
+        # Prefix sums 0, 4, 4, 4 against 1, 2, 3, 4: the excess peaks at n = 1.
+        f = CoefficientSeries([0.0, 2.0, 0.0, 0.0], "derivative")
+        g = CoefficientSeries([1.0, 1.0, 1.0, 1.0], "derivative")
+        row = _rogosinski_row("thm1_B", "demo", {"x": 0.1}, f, g, 3)
+        assert row.params == {"x": 0.1, "n": 1.0}
+        assert (row.lhs, row.rhs) == (2.0, 0.0)
+        worst = min(rogosinski_dominance(f, g, 3).instances, key=lambda i: i.slack)
+        assert (worst.params["n"], -worst.slack) == (row.params["n"], row.lhs)
+
+    def test_prop1_samples_report_the_first_radius_of_equal_excess(self, monkeypatch):
+        # Every radius gives the same excess tail - cap: the first, 0.15, wins.
+        monkeypatch.setattr(verify, "weighted_power_sum", lambda *a, **k: 1.0)
+        monkeypatch.setattr(verify, "bound_prop1", lambda n, r: 2.0)
+        rows = _suite_prop1(ScanGrid(sample_count=5, truncation=8))
+        samples = [i for i in rows if i.instance_id.startswith("sample")]
+        assert len(samples) == 30
+        assert {i.params["r"] for i in samples} == {0.15}
+
+    @pytest.mark.parametrize("a", (0.3, 0.5, 0.75))
+    @pytest.mark.parametrize("r", (0.2, 0.35, 0.55))
+    def test_cor1_tail_certificate_covers_the_truncated_majorant(self, a, r):
+        # B_a(r) is the whole majorant sum; the certificate bounds the terms
+        # that truncation at order n drops, up to rounding in B_a(r) itself.
+        rhs = bounds.bound_cor1(a, r)
+        for n in range(8, 17):
+            lhs = _phi_weighted_functional(h_series(a, n), r)
+            assert rhs - lhs <= _cor1_tail_certificate(a, r, n) + 1e-12 * rhs, n
 
 
 class TestSharpnessMachinery:
