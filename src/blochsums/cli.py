@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,23 +107,7 @@ class RunConfig:
                 raise UsageError(f"malformed config line: {raw!r}")
             key, _, value = line.partition("=")
             values[key.strip()] = value.strip()
-        kwargs: Dict[str, object] = {}
-        for key, value in values.items():
-            if key == "suite":
-                kwargs["suites"] = tuple(s for s in value.split(",") if s)
-            elif key in ("out", "format"):
-                kwargs[key] = value
-            elif key in ("seed", "truncation"):
-                kwargs[key] = _parse_int(key, value)
-            elif key == "tol":
-                kwargs["tol"] = _parse_float(key, value)
-            elif key == "grid":
-                kwargs["grid"] = _parse_grid(value)
-            elif key == "r_values":
-                kwargs["r_values"] = _parse_radii(value)
-            else:
-                raise UsageError(f"unknown config key {key!r}")
-        return cls(**kwargs)
+        return cls(**_read_settings(values))
 
     @classmethod
     def from_file(cls, path: str) -> "RunConfig":
@@ -148,6 +132,14 @@ class RunConfig:
             raise UsageError(str(exc)) from exc
 
 
+def _parse_text(key: str, value: str) -> str:
+    return value
+
+
+def _parse_list(key: str, value: str) -> Tuple[str, ...]:
+    return tuple(s for s in value.split(",") if s)
+
+
 def _parse_int(key: str, value: str) -> int:
     try:
         return int(value)
@@ -162,20 +154,46 @@ def _parse_float(key: str, value: str) -> float:
         raise UsageError(f"{key} expects a number, got {value!r}") from exc
 
 
-def _parse_radii(value: str) -> Tuple[float, ...]:
-    return tuple(_parse_float("r_values", v) for v in value.split(",") if v)
+def _parse_radii(key: str, value: str) -> Tuple[float, ...]:
+    return tuple(_parse_float(key, v) for v in _parse_list(key, value))
 
 
-def _parse_grid(value: str) -> Tuple[float, float, int]:
+def _parse_grid(key: str, value: str) -> Tuple[float, float, int]:
     parts = value.split(":")
     if len(parts) != 3:
-        raise UsageError(f"grid expects lo:hi:steps, got {value!r}")
-    lo = _parse_float("grid lo", parts[0])
-    hi = _parse_float("grid hi", parts[1])
-    steps = _parse_int("grid steps", parts[2])
+        raise UsageError(f"{key} expects lo:hi:steps, got {value!r}")
+    lo = _parse_float(f"{key} lo", parts[0])
+    hi = _parse_float(f"{key} hi", parts[1])
+    steps = _parse_int(f"{key} steps", parts[2])
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi or steps < 2:
-        raise UsageError("grid requires finite lo < hi and steps >= 2")
+        raise UsageError(f"{key} requires finite lo < hi and steps >= 2")
     return (lo, hi, steps)
+
+
+# Every ``verify`` setting, once: config key (also the argparse dest; the
+# flag is ``--key`` with dashes) -> (RunConfig field, reader, help).  A
+# config line and a flag both go through ``_read_settings``.
+_SETTINGS: Dict[str, Tuple[str, Callable[[str, str], object], str]] = {
+    "suite": ("suites", _parse_list, "suite ids, comma-separated or repeated"),
+    "out": ("out", _parse_text, "directory for report files"),
+    "format": ("format", _parse_text, "report format: csv or json"),
+    "seed": ("seed", _parse_int, "sample seed, a nonnegative integer"),
+    "tol": ("tol", _parse_float, "tolerance, finite and positive"),
+    "grid": ("grid", _parse_grid, "x grid as lo:hi:steps"),
+    "truncation": ("truncation", _parse_int, "series truncation order"),
+    "r_values": ("r_values", _parse_radii, "radius overrides r1,r2,... for thm5"),
+}
+
+
+def _read_settings(values: Dict[str, str]) -> Dict[str, object]:
+    """``RunConfig`` keyword arguments from ``{config key: text}``."""
+    kwargs: Dict[str, object] = {}
+    for key, value in values.items():
+        if key not in _SETTINGS:
+            raise UsageError(f"unknown config key {key!r}")
+        field, read, _ = _SETTINGS[key]
+        kwargs[field] = read(key, value)
+    return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +241,20 @@ def _write_text(path: str, text: str) -> None:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, out_path: Optional[str], out) -> None:
-    """Write text to out_path and say so on out, or print it to out."""
+def _emit(text: str, out_path: Optional[str]) -> None:
+    """Write text to out_path and say so on stdout, or print it to stdout."""
     if out_path is not None:
         _write_text(out_path, text)
-        print(f"wrote {out_path}", file=out)
+        print(f"wrote {out_path}")
     else:
-        out.write(text)
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
 # verify
 
 
-def cmd_verify(config: RunConfig, stdout=None) -> int:
-    out = stdout or sys.stdout
+def cmd_verify(config: RunConfig) -> int:
     suites = tuple(s for s in ALL_SUITES if s in config.suites)
     grid, shared = config.scan_grid(), {}  # shared: one thm1 sample set per run
     reports = {s: run_suite(s, grid, shared) for s in suites}
@@ -256,18 +273,18 @@ def cmd_verify(config: RunConfig, stdout=None) -> int:
         if not report.passed:
             line += f", failures={len(report.witnesses)}"
         line += ")"
-        print(line, file=out)
+        print(line)
         for witness in report.witnesses[:5]:
             items = ";".join(
                 f"{k}={format(v, '.10g')}" if isinstance(v, float) else f"{k}={v}"
                 for k, v in sorted(witness.items())
             )
-            print(f"  witness: {items}", file=out)
+            print(f"  witness: {items}")
         if config.out is not None:
             path = os.path.join(config.out, f"{suite}.{config.format}")
             _write_text(path, _render_report(report, config.format))
-            print(f"  wrote {path}", file=out)
-    print(f"overall: {'PASS' if all_passed else 'FAIL'}", file=out)
+            print(f"  wrote {path}")
+    print(f"overall: {'PASS' if all_passed else 'FAIL'}")
     return 0 if all_passed else 1
 
 
@@ -275,8 +292,7 @@ def cmd_verify(config: RunConfig, stdout=None) -> int:
 # root
 
 
-def cmd_root(stdout=None) -> int:
-    out = stdout or sys.stdout
+def cmd_root() -> int:
     brackets = sign_changes(remark6_poly, 0.0, 0.5, 10000)
     if not brackets:
         print("error: no sign change found in (0, 0.5)", file=sys.stderr)
@@ -286,10 +302,10 @@ def cmd_root(stdout=None) -> int:
     rho = result.root
     sqrt_rho = math.sqrt(rho)
     residual = abs(remark6_poly(rho))
-    print(f"rho = {_fmt(rho)}", file=out)
-    print(f"sqrt_rho = {_fmt(sqrt_rho)}", file=out)
-    print(f"residual = {_fmt(residual)}", file=out)
-    print(f"bracket = [{_fmt(lo)}, {_fmt(hi)}]", file=out)
+    print(f"rho = {_fmt(rho)}")
+    print(f"sqrt_rho = {_fmt(sqrt_rho)}")
+    print(f"residual = {_fmt(residual)}")
+    print(f"bracket = [{_fmt(lo)}, {_fmt(hi)}]")
     ok_value = abs(sqrt_rho - 0.39466) <= 5e-5
     ok_residual = residual <= 1e-12
     ok_bracket = 0.15 < lo and hi < 0.16
@@ -297,8 +313,7 @@ def cmd_root(stdout=None) -> int:
         "checks: sqrt_rho within 5e-05 of 0.39466: "
         f"{'ok' if ok_value else 'FAIL'}; residual <= 1e-12: "
         f"{'ok' if ok_residual else 'FAIL'}; bracket inside (0.15, 0.16): "
-        f"{'ok' if ok_bracket else 'FAIL'}",
-        file=out,
+        f"{'ok' if ok_bracket else 'FAIL'}"
     )
     return 0 if (ok_value and ok_residual and ok_bracket) else 1
 
@@ -367,9 +382,7 @@ def cmd_table(
     r_range: Tuple[float, float, int],
     x: Optional[float],
     out_path: Optional[str],
-    stdout=None,
 ) -> int:
-    out = stdout or sys.stdout
     for bid in bound_ids:
         if bid not in _TABLE_FORMS:
             raise UsageError(
@@ -389,7 +402,7 @@ def cmd_table(
         prefix = f"{bid},{x_cell},"
         for r_cell, cell in zip(r_cells, _table_column(bid, x, radii)):
             lines.append(f"{prefix}{r_cell},{cell}\n")
-    _emit("".join(lines), out_path, out)
+    _emit("".join(lines), out_path)
     return 0
 
 
@@ -412,9 +425,7 @@ def cmd_scan(
     r_range: Optional[Tuple[float, float, int]],
     grid: ScanGrid,
     out_path: Optional[str],
-    stdout=None,
 ) -> int:
-    out = stdout or sys.stdout
     if target not in _SCAN_TARGETS:
         raise UsageError(
             f"unknown scan target {target!r}; known: {', '.join(_SCAN_TARGETS)}"
@@ -433,7 +444,7 @@ def cmd_scan(
             f"{_fmt(float(r))},{_fmt(row.lhs)},{_fmt(row.rhs)},"
             f"{_fmt(row.slack)},{_fmt(row.params['x'])}"
         )
-    _emit("\n".join(lines) + "\n", out_path, out)
+    _emit("\n".join(lines) + "\n", out_path)
 
     crossing = None
     for i in range(len(radii) - 1):
@@ -445,21 +456,20 @@ def cmd_scan(
                 bound_id, float(radii[i]), float(radii[i + 1]), grid, tol=1e-12
             ).root
             break
-    print(f"target = {target}", file=out)
+    print(f"target = {target}")
     if crossing is None:
-        print("crossing_radius = none (no sign change on this range)", file=out)
+        print("crossing_radius = none (no sign change on this range)")
     else:
-        print(f"crossing_radius = {_fmt(crossing)}", file=out)
+        print(f"crossing_radius = {_fmt(crossing)}")
     if target in ("problem1", "problem2"):
-        print("note = exploratory - open problem", file=out)
+        print("note = exploratory - open problem")
         if target == "problem1" and crossing is not None:
             if abs(crossing - 0.39466) <= 1e-3:
-                print("note = conjecture-consistent (crossing within 1e-3 of 0.39466)", file=out)
+                print("note = conjecture-consistent (crossing within 1e-3 of 0.39466)")
     else:
-        print(f"reference_radius = {_fmt(R_THM5)}", file=out)
+        print(f"reference_radius = {_fmt(R_THM5)}")
         print(
-            "note = threshold radius from the closed form (1/(4*sqrt(3)))*sqrt(59-sqrt(2713))",
-            file=out,
+            "note = threshold radius from the closed form (1/(4*sqrt(3)))*sqrt(59-sqrt(2713))"
         )
     return 0
 
@@ -481,23 +491,13 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_verify = sub.add_parser("verify", help="run certification suites")
-    p_verify.add_argument(
-        "--suite",
-        action="append",
-        default=None,
-        help="suite id (repeatable, or comma-separated); default: all",
-    )
-    p_verify.add_argument("--out", default=None, help="directory for report files")
-    p_verify.add_argument("--format", choices=("csv", "json"), default=None)
-    p_verify.add_argument("--seed", type=int, default=None)
-    p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--grid", default=None, help="x grid as lo:hi:steps")
-    p_verify.add_argument("--truncation", type=int, default=None, metavar="N")
-    p_verify.add_argument(
-        "--r-values",
-        default=None,
-        help="comma-separated radius overrides (thm5 case replay)",
-    )
+    for key, (_, _, help_text) in _SETTINGS.items():
+        p_verify.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key,
+            action="append" if key == "suite" else "store",
+            help=help_text,
+        )
     p_verify.add_argument("--config", default=None, help="flat key=value config file")
 
     sub.add_parser("root", help="report the positive root of the threshold polynomial")
@@ -520,26 +520,12 @@ def _build_parser() -> _Parser:
 
 
 def _verify_config(args: argparse.Namespace) -> RunConfig:
-    if args.config is not None:
-        config = RunConfig.from_file(args.config)
-    else:
-        config = RunConfig()
-    updates: Dict[str, object] = {}
-    if args.suite is not None:
-        suites: List[str] = []
-        for chunk in args.suite:
-            suites.extend(s for s in chunk.split(",") if s)
-        updates["suites"] = tuple(suites)
-    for key in ("out", "format", "seed", "tol", "truncation"):
-        if getattr(args, key) is not None:
-            updates[key] = getattr(args, key)
-    if args.grid is not None:
-        updates["grid"] = _parse_grid(args.grid)
-    if args.r_values is not None:
-        updates["r_values"] = _parse_radii(args.r_values)
-    if updates:
-        config = dataclasses.replace(config, **updates)
-    return config
+    """The config file (or the defaults), overridden by the flags given."""
+    config = RunConfig() if args.config is None else RunConfig.from_file(args.config)
+    given = {k: getattr(args, k) for k in _SETTINGS if getattr(args, k) is not None}
+    if "suite" in given:  # --suite is repeatable
+        given["suite"] = ",".join(given["suite"])
+    return dataclasses.replace(config, **_read_settings(given))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -551,14 +537,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "root":
             return cmd_root()
         if args.command == "table":
-            bound_ids = tuple(b for b in args.bounds.split(",") if b)
+            bound_ids = _parse_list("bounds", args.bounds)
             if not bound_ids:
                 raise UsageError("--bounds must name at least one bound id")
-            return cmd_table(bound_ids, _parse_grid(args.grid), args.x, args.out)
-        if args.command == "scan":
-            r_range = None if args.grid is None else _parse_grid(args.grid)
-            return cmd_scan(args.target, r_range, ScanGrid(), args.out)
-        raise UsageError(f"unknown command {args.command!r}")
+            r_range = _parse_grid("grid", args.grid)
+            return cmd_table(bound_ids, r_range, args.x, args.out)
+        # scan: the subparsers admit no other command
+        r_range = None if args.grid is None else _parse_grid("grid", args.grid)
+        return cmd_scan(args.target, r_range, ScanGrid(), args.out)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

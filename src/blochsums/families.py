@@ -177,21 +177,18 @@ def bloch_membership_scan(
     s: CoefficientSeries,
     r_nodes: int = 64,
     theta_nodes: int = 128,
-    tol: float = 1e-6,
 ) -> float:
     """Grid maximum of (1 - r^2) |s(r e^{i theta})| over the disc.
 
-    A value at most 1 + tol is consistent with membership in the class
-    {|F'| <= 1/(1 - |z|^2)}.  Necessary-condition check only: a truncated
-    series understates the true function, so the scan can never prove
-    membership, only flag clear violations.
+    A value at most 1, plus a slack the caller picks, is consistent with
+    membership in the class {|F'| <= 1/(1 - |z|^2)}.  Necessary-condition
+    check only: a truncated series understates the true function, so the
+    scan can never prove membership, only flag clear violations.
     """
     if s.kind != KIND_DERIVATIVE:
         raise ValueError("membership scan expects a derivative-kind series")
     if r_nodes < 8 or theta_nodes < 8:
         raise ValueError("need at least 8 nodes in each direction")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
     radii = np.linspace(0.0, 0.999, r_nodes)
     theta = 2.0 * np.pi * np.arange(theta_nodes) / theta_nodes
     z = radii[:, None] * np.exp(1j * theta)[None, :]

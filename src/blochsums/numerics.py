@@ -104,8 +104,8 @@ def bisect(
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
     flo = f(lo)
     fhi = f(hi)
     if flo == 0.0:
@@ -180,16 +180,19 @@ def golden_max(
     Returns ``(argmax, value)``.  Unimodality is the caller's responsibility;
     for a monotone function the search converges to the correct boundary.
     On non-unimodal input the result is a local maximizer, which callers
-    guard against with a grid pre-scan.
+    guard against with a grid pre-scan.  The search also stops once the
+    bracket is too narrow in floats for two distinct interior points.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
     a, b = lo, hi
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc = f(c)
     fd = f(d)
-    while (b - a) > tol:
+    while (b - a) > tol and a < c < d < b:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)

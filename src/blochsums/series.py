@@ -90,6 +90,8 @@ def derivative_series(f: CoefficientSeries) -> CoefficientSeries:
 
 def integrate_series(g: CoefficientSeries, c0: complex = 0.0) -> CoefficientSeries:
     """Inverse of ``derivative_series``: entry 0 is c0, entry k is g_{k-1}/k."""
+    if g.kind != KIND_DERIVATIVE:
+        raise ValueError("integrate_series expects a derivative-kind series")
     k = np.arange(1, g.coeffs.size + 1)
     out = np.empty(g.coeffs.size + 1, dtype=np.complex128)
     out[0] = c0

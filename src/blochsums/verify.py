@@ -1022,6 +1022,16 @@ def _thm5_rows(
     return instances
 
 
+def _scan_functional(bound_id: str, *radii: float) -> Callable[[float, float], float]:
+    """The family functional scanned against ``bound_id``, once the id is
+    known and every radius lies in (0, 1), where the functionals live."""
+    if bound_id not in _FAMILY_LHS:
+        raise ValueError("sharpness scans support bound ids 'thm2' and 'thm5'")
+    if not all(0.0 < r < 1.0 for r in radii):
+        raise ValueError("r must lie in (0, 1)")
+    return _FAMILY_LHS[bound_id]
+
+
 def sharpness_scan(bound_id: str, r: float, grid: ScanGrid) -> VerdictReport:
     """Maximize the relevant family functional at radius r against the bound.
 
@@ -1030,11 +1040,7 @@ def sharpness_scan(bound_id: str, r: float, grid: ScanGrid) -> VerdictReport:
     validity.  The scan ranges over the whole family; its members lie in
     the class at every radius below 1.
     """
-    if bound_id not in ("thm2", "thm5"):
-        raise ValueError("sharpness scans support bound ids 'thm2' and 'thm5'")
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
-    peak, arg = _family_peak(_FAMILY_LHS[bound_id], r, grid)
+    peak, arg = _family_peak(_scan_functional(bound_id, r), r, grid)
     rhs = bounds._thm_rhs_raw(bound_id, r)
     inst = BoundEvaluation(
         bound_id, f"scan/r={r:.8f}", {"r": r, "x": arg}, peak, rhs
@@ -1050,7 +1056,7 @@ def crossing_radius(
     tol: float = 1e-10,
 ):
     """Bisect the radius where the family peak crosses the quartic bound."""
-    functional = _FAMILY_LHS[bound_id]
+    functional = _scan_functional(bound_id, r_lo, r_hi)
 
     def slack_deficit(r: float) -> float:
         peak, _ = _family_peak(functional, r, grid)

@@ -1,5 +1,6 @@
 """CLI behavior: config round trips, exit codes, report files, determinism."""
 
+import contextlib
 import io
 import json
 import math
@@ -22,6 +23,7 @@ from blochsums import (
     verify,
 )
 from blochsums.bounds import R_HI, THM2_R_LO, THM3_R_LO
+from blochsums import cli
 from blochsums.cli import RunConfig, UsageError, cmd_verify, main
 
 
@@ -82,6 +84,97 @@ class TestRunConfig:
     def test_malformed_line_rejected(self):
         with pytest.raises(UsageError):
             RunConfig.from_text("just some words\n")
+
+
+# Each verify setting as flags and as a config line, and the RunConfig
+# field values both must give.
+_SETTING_CASES = {
+    "suite": (
+        ["--suite", "thm5", "--suite", "basic,cor1"],
+        "suite = thm5,basic,cor1",
+        {"suites": ("thm5", "basic", "cor1")},
+    ),
+    "out": (["--out", "reports"], "out = reports", {"out": "reports"}),
+    "format": (["--format", "json"], "format = json", {"format": "json"}),
+    "seed": (["--seed", "7"], "seed = 7", {"seed": 7}),
+    "tol": (["--tol", "2.5e-11"], "tol = 2.5e-11", {"tol": 2.5e-11}),
+    "grid": (
+        ["--grid", "0.002:0.55:123"],
+        "grid = 0.002:0.55:123",
+        {"grid": (0.002, 0.55, 123)},
+    ),
+    "truncation": (["--truncation", "192"], "truncation = 192", {"truncation": 192}),
+    "r_values": (
+        ["--r-values", "0.3695154099741958,0.41"],
+        "r_values = 0.3695154099741958,0.41",
+        {"r_values": (0.3695154099741958, 0.41)},
+    ),
+}
+
+
+def verify_config(monkeypatch, *argv):
+    """The RunConfig ``blochsums verify`` builds from argv, not run."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_verify", lambda config: seen.append(config) or 0)
+    assert main(["verify", *argv]) == 0
+    return seen[0]
+
+
+class TestSettingsTable:
+    """Flags and config lines are one set of settings, read by one parser."""
+
+    @pytest.mark.parametrize("key", list(_SETTING_CASES))
+    def test_flag_and_config_line_agree(self, monkeypatch, tmp_path, key):
+        flags, line, fields = _SETTING_CASES[key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        expected = RunConfig(**fields)
+        assert verify_config(monkeypatch, *flags) == expected
+        assert verify_config(monkeypatch, "--config", str(cfg)) == expected
+        assert RunConfig.from_text(line) == expected
+
+    def test_flags_override_file_and_last_duplicate_wins(self, monkeypatch, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suite = thm2\nseed = 5\nformat = json\nsuite = thm3\n")
+        assert verify_config(monkeypatch, "--config", str(cfg)) == RunConfig(
+            suites=("thm3",), seed=5, format="json"
+        )
+        overridden = verify_config(
+            monkeypatch, "--config", str(cfg), "--seed", "7", "--suite", "cor1"
+        )
+        assert overridden == RunConfig(suites=("cor1",), seed=7, format="json")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("seed", "abc"),
+            ("seed", "1.5"),
+            ("tol", "abc"),
+            ("grid", "0.1:x:3"),
+            ("truncation", "1e3"),
+            ("r_values", "0.3,abc"),
+        ],
+    )
+    def test_bad_numeric_value_exits_2_both_ways(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"suite = basic\n{key} = {value}\n")
+        flag = "--" + key.replace("_", "-")
+        errors = []
+        for argv in (["--suite", "basic", flag, value], ["--config", str(cfg)]):
+            rc, out, err = run_cli(capsys, "verify", *argv)
+            assert (rc, out) == (2, "")
+            assert err.startswith("usage error:")
+            errors.append(err)
+        assert errors[0] == errors[1]
+
+    def test_help_lists_every_setting_as_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        assert set(cli._SETTINGS) == set(_SETTING_CASES)
+        for key in _SETTING_CASES:
+            assert f"--{key.replace('_', '-')} " in help_text
 
 
 class TestVerifyCommand:
@@ -201,7 +294,8 @@ class TestVerifyCommand:
             config = RunConfig(
                 suites=("thm1_B", "thm1_B2"), out=str(out_dir), truncation=48
             )
-            assert cmd_verify(config, stdout=io.StringIO()) == 0
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cmd_verify(config) == 0
             assert len(calls) == 3
             reports.append(
                 [(out_dir / f"{s}.csv").read_bytes() for s in config.suites]

@@ -31,6 +31,12 @@ class TestBisect:
         with pytest.raises(ValueError, match="bracket"):
             bisect(lambda x: x * x + 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # nan used to return the bracket's midpoint after no step.
+        with pytest.raises(ValueError, match="tol"):
+            bisect(lambda x: x * x - 2.0, 0.0, 2.0, tol=tol)
+
     def test_exact_zero_at_endpoint(self):
         result = bisect(lambda x: x, 0.0, 1.0)
         assert result.root == 0.0
@@ -91,6 +97,34 @@ class TestGoldenMax:
         arg, val = golden_max(lambda x: x, 0.0, 1.0, tol=1e-12)
         assert abs(arg - 1.0) < 1e-6
         assert val <= 1.0
+
+    @staticmethod
+    def parabola():
+        """-(x - 0.3)^2, which fails the test instead of letting a search
+        that never stops hang it."""
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if len(calls) > 1000:
+                raise RuntimeError("golden_max did not stop")
+            return -((x - 0.3) ** 2)
+
+        return f
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, -1.0])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        # nan used to return the unrefined midpoint; 0 and -1 never stopped.
+        with pytest.raises(ValueError, match="tol"):
+            golden_max(self.parabola(), 0.0, 1.0, tol=tol)
+
+    def test_tol_below_float_spacing_stops(self):
+        # No bracket around 0.3 is 1e-17 wide in floats: the search stops
+        # once its golden points can no longer move.
+        f = self.parabola()
+        arg, val = golden_max(f, 0.0, 1.0, tol=1e-17)
+        assert abs(arg - 0.3) <= 1e-15
+        assert val == f(arg)
 
 
 class TestTrapezoid:

@@ -67,6 +67,10 @@ class TestCalculus:
         back = integrate_series(derivative_series(f), c0=f.coeffs[0])
         np.testing.assert_allclose(back.coeffs, f.coeffs, atol=1e-15)
 
+    def test_integrate_rejects_function_kind(self):
+        with pytest.raises(ValueError, match="derivative-kind"):
+            integrate_series(CoefficientSeries([1.0, 2.0], "function"))
+
     @given(coeff_lists)
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property(self, coeffs):

@@ -351,6 +351,15 @@ class TestSharpnessMachinery:
     def test_unknown_bound_rejected(self, default_grid):
         with pytest.raises(ValueError):
             sharpness_scan("thm3", 0.5, default_grid)
+        with pytest.raises(ValueError, match="bound ids"):
+            crossing_radius("thm3", 0.37, 0.4, default_grid)
+
+    @pytest.mark.parametrize("r_lo, r_hi", [(0.0, 0.4), (0.37, 1.0), (-0.5, 1.5)])
+    def test_crossing_radii_outside_unit_interval_rejected(
+        self, default_grid, r_lo, r_hi
+    ):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            crossing_radius("thm2", r_lo, r_hi, default_grid)
 
 
 def _bits(*values):
