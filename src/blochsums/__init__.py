@@ -54,17 +54,11 @@ from .verify import (
     ScanGrid,
     SchwarzSpec,
     VerdictReport,
-    abel_weighted_dominance,
     crossing_radius,
     make_subordinate,
-    rogosinski_dominance,
     run_suite,
     sharpness_scan,
-    verify_cor2,
     verify_thm1,
-    verify_thm2,
-    verify_thm3,
-    verify_thm5,
 )
 
 __version__ = "0.1.0"
@@ -116,13 +110,7 @@ __all__ = [
     "ScanGrid",
     "VerdictReport",
     "make_subordinate",
-    "rogosinski_dominance",
-    "abel_weighted_dominance",
     "verify_thm1",
-    "verify_thm2",
-    "verify_thm3",
-    "verify_cor2",
-    "verify_thm5",
     "sharpness_scan",
     "crossing_radius",
     "run_suite",

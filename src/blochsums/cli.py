@@ -56,7 +56,15 @@ from .verify import (
     sharpness_scan,
 )
 
-__all__ = ["RunConfig", "main"]
+__all__ = [
+    "RunConfig",
+    "UsageError",
+    "cmd_verify",
+    "cmd_root",
+    "cmd_table",
+    "cmd_scan",
+    "main",
+]
 
 
 class UsageError(Exception):
@@ -95,6 +103,8 @@ class RunConfig:
             raise UsageError("at least one suite must be selected")
         if self.format not in ("csv", "json"):
             raise UsageError("format must be 'csv' or 'json'")
+        if self.out == "":
+            raise UsageError("out must name a directory")
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
@@ -114,7 +124,7 @@ class RunConfig:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 return cls.from_text(fh.read())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read config {path}: {exc}") from exc
 
     def scan_grid(self) -> ScanGrid:
@@ -257,9 +267,12 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 def cmd_verify(config: RunConfig) -> int:
     suites = tuple(s for s in ALL_SUITES if s in config.suites)
     grid, shared = config.scan_grid(), {}  # shared: one thm1 sample set per run
-    reports = {s: run_suite(s, grid, shared) for s in suites}
     if config.out is not None:
-        os.makedirs(config.out, exist_ok=True)
+        try:
+            os.makedirs(config.out, exist_ok=True)
+        except OSError as exc:
+            raise RuntimeError(f"cannot create {config.out}: {exc}") from exc
+    reports = {s: run_suite(s, grid, shared) for s in suites}
     all_passed = True
     for suite in suites:
         report = reports[suite]
@@ -438,7 +451,7 @@ def cmd_scan(
     lines = ["r,max_lhs,rhs,slack,x_at_max"]
     slacks: List[float] = []
     for r in radii:
-        row = sharpness_scan(bound_id, float(r), grid).instances[0]
+        row = sharpness_scan(bound_id, float(r), grid)
         slacks.append(row.slack)
         lines.append(
             f"{_fmt(float(r))},{_fmt(row.lhs)},{_fmt(row.rhs)},"

@@ -18,9 +18,8 @@ property-tested here: coefficient prefix-sum dominance under subordination,
 and the summation-by-parts upgrade from prefix dominance to weighted-sum
 dominance for nonincreasing nonnegative weights.
 
-The standalone ``verify_*``, ``sharpness_scan`` and dominance functions wrap
-the same row builders and judge their rows at ``DEFAULT_TOL`` (1e-10);
-``ScanGrid.tolerance`` is read only by ``run_suite``.
+``run_suite`` is the only judge: every other function here returns rows (or,
+for ``sharpness_scan``, one row) and leaves the verdict to it.
 """
 
 from __future__ import annotations
@@ -82,13 +81,7 @@ __all__ = [
     "ScanGrid",
     "VerdictReport",
     "make_subordinate",
-    "rogosinski_dominance",
-    "abel_weighted_dominance",
     "verify_thm1",
-    "verify_thm2",
-    "verify_thm3",
-    "verify_cor2",
-    "verify_thm5",
     "sharpness_scan",
     "crossing_radius",
     "run_suite",
@@ -111,8 +104,7 @@ ALL_SUITES: Tuple[str, ...] = (
 )
 
 # Relative tolerance of the pass rule (see ``BoundEvaluation.margin``): the
-# default of ``ScanGrid.tolerance`` and ``--tol``, and the tolerance the
-# standalone functions judge at.
+# default of ``ScanGrid.tolerance`` and ``--tol``.
 DEFAULT_TOL = 1e-10
 
 _SCHWARZ_KINDS = ("rotation", "monomial", "blaschke_product")
@@ -360,34 +352,6 @@ def _prefix_power_sums(s: CoefficientSeries, n_max: int) -> np.ndarray:
     return np.cumsum(mags)
 
 
-def rogosinski_dominance(
-    f: CoefficientSeries,
-    g: CoefficientSeries,
-    n_max: int,
-) -> VerdictReport:
-    """Check prefix-sum dominance sum_{k<=n} |f_k|^2 <= sum_{k<=n} |g_k|^2.
-
-    Valid whenever f is subordinate to g (in particular for every output of
-    ``make_subordinate`` against its base); the caller vouches for that.
-    One instance per prefix length n from 0 to n_max.
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    pf = _prefix_power_sums(f, n_max)
-    pg = _prefix_power_sums(g, n_max)
-    instances = [
-        BoundEvaluation(
-            bound_id="rogosinski",
-            instance_id=f"n={n:03d}",
-            params={"n": float(n)},
-            lhs=float(pf[n]),
-            rhs=float(pg[n]),
-        )
-        for n in range(n_max + 1)
-    ]
-    return VerdictReport.from_instances("rogosinski", instances, DEFAULT_TOL)
-
-
 def _rogosinski_row(
     bound_id: str,
     instance_id: str,
@@ -402,22 +366,6 @@ def _rogosinski_row(
     return _grid_max(bound_id, instance_id, params, "n", range(n_max + 1), diff)
 
 
-def abel_weighted_dominance(
-    u: Sequence[float],
-    v: Sequence[float],
-    lam: Sequence[float],
-) -> VerdictReport:
-    """Verify sum lam_k u_k <= sum lam_k v_k under summation-by-parts hypotheses.
-
-    Preconditions (violations raise ValueError and are invalid input, not a
-    failed verdict): every prefix sum of u is dominated by the matching
-    prefix sum of v, and lam is nonincreasing and nonnegative.  The terms
-    u, v themselves may be signed.
-    """
-    row = _abel_row("abel", "weighted_sum", u, v, lam)
-    return VerdictReport.from_instances("abel", [row], DEFAULT_TOL)
-
-
 def _abel_row(
     bound_id: str,
     instance_id: str,
@@ -425,7 +373,9 @@ def _abel_row(
     v: Sequence[float],
     lam: Sequence[float],
 ) -> BoundEvaluation:
-    """The row of ``abel_weighted_dominance``, its preconditions checked."""
+    """Row for sum lam_k u_k <= sum lam_k v_k (u, v may be signed).  Its
+    preconditions, each prefix sum of u at most v's and lam nonincreasing and
+    nonnegative, raise ValueError: invalid input, not a failed row."""
     ua = np.asarray(u, dtype=np.float64)
     va = np.asarray(v, dtype=np.float64)
     la = np.asarray(lam, dtype=np.float64)
@@ -581,7 +531,7 @@ _FAMILY_LHS: Dict[str, Callable[[float, float], float]] = {
 # theorem suites
 
 
-def verify_thm1(x: float, r: float, grid: ScanGrid) -> VerdictReport:
+def verify_thm1(x: float, r: float, grid: ScanGrid) -> List[BoundEvaluation]:
     """Equality case and sampled-subordinate inequalities of the family bound.
 
     The truncated coefficient sums of the boundary member must match the two
@@ -625,7 +575,7 @@ def verify_thm1(x: float, r: float, grid: ScanGrid) -> VerdictReport:
         instances.append(
             _rogosinski_row("thm1_B", f"rogosinski{i:03d}", sample_params, comp, g, n_max)
         )
-    return VerdictReport.from_instances("thm1", instances, DEFAULT_TOL)
+    return instances
 
 
 def _thm2_quadratic(x: float, r2: float) -> float:
@@ -648,24 +598,13 @@ def _thm2_sextic(x: float, r2: float) -> float:
     )
 
 
-def verify_thm2(r: float, x_steps: int = 1000) -> VerdictReport:
-    """Quadratic-form bound over the boundary parametrization at radius r.
-
-    Checks the form against 27 r^2/4 on an x grid, independently certifies
-    the sign of the sextic-in-x^2 polynomial, verifies the exact algebraic
-    identity connecting the two, and at the interval endpoints checks the
-    known factorization (lower end) and the all-x equality (upper end).
-    """
-    return VerdictReport.from_instances("thm2", _thm2_rows(r, x_steps), DEFAULT_TOL)
-
-
-def _thm2_rows(r: float, x_steps: int = 1000) -> List[BoundEvaluation]:
-    """Rows of ``verify_thm2``."""
+def _thm2_rows(r: float) -> List[BoundEvaluation]:
+    """Quadratic-form bound at radius r on a 1000-point x grid: the form
+    against 27 r^2/4, the sextic's sign, the identity joining the two, and at
+    the ends the factorization (lower) and the all-x equality (upper)."""
     bounds._check_thm_interval("thm2", r)
-    if x_steps < 2:
-        raise ValueError("x_steps must be at least 2")
     r2 = r * r
-    xs = np.linspace(X_GUARD, X_SUP - X_GUARD, x_steps)
+    xs = np.linspace(X_GUARD, X_SUP - X_GUARD, 1000)
     quad = np.array([_thm2_quadratic(x, r2) for x in xs])
     sextic = np.array([_thm2_sextic(x, r2) for x in xs])
     rhs = 27.0 * r2 / 4.0
@@ -758,21 +697,11 @@ def _thm3_quadratic(x: float) -> float:
     )
 
 
-def verify_thm3(x_steps: int = 1000) -> VerdictReport:
-    """Sign and decimal checks for the surd-coefficient sextic.
-
-    Certifies the sextic is nonpositive on the parameter interval, compares
-    each exact surd coefficient with its printed decimal, and cross-checks
-    the factored form against both independent routes to the same quantity.
-    """
-    return VerdictReport.from_instances("thm3", _thm3_rows(x_steps), DEFAULT_TOL)
-
-
-def _thm3_rows(x_steps: int = 1000) -> List[BoundEvaluation]:
-    """Rows of ``verify_thm3``."""
-    if x_steps < 2:
-        raise ValueError("x_steps must be at least 2")
-    xs = np.linspace(X_GUARD, X_SUP - X_GUARD, x_steps)
+def _thm3_rows() -> List[BoundEvaluation]:
+    """Surd-coefficient sextic: its sign on a 1000-point grid, each exact
+    coefficient against its printed decimal, and the factored form against
+    two independent routes to the same quantity."""
+    xs = np.linspace(X_GUARD, X_SUP - X_GUARD, 1000)
     sextic = np.array([_thm3_sextic(x) for x in xs])
     instances = [_grid_max("thm3", "negativity", {}, "x", xs, sextic)]
     for j, (exact, printed) in enumerate(
@@ -811,29 +740,17 @@ def _cor2_reduced(v: float) -> float:
     return _log1m_tail(v) - v * v / (2.0 * (1.0 - v) ** 2)
 
 
-def verify_cor2(a_steps: int = 200, w_steps: int = 200) -> VerdictReport:
-    """Grid certification of the logarithmic inequality and its reduction.
-
-    H_a(w) = (1 - 4a^2/9)^2 (-log(1-w) - w) - w^2/2 must be nonpositive on
-    [0, 4a^2/9] for every a; substituting the right endpoint reduces it to a
-    single-variable inequality on [0, 4/9], checked independently, and the
-    substitution identity itself is verified at sampled a.
-    """
-    rows = _cor2_rows(a_steps, w_steps)
-    return VerdictReport.from_instances("cor2", rows, DEFAULT_TOL)
-
-
-def _cor2_rows(a_steps: int = 200, w_steps: int = 200) -> List[BoundEvaluation]:
-    """Rows of ``verify_cor2``."""
-    if a_steps < 2 or w_steps < 2:
-        raise ValueError("need at least 2 steps in each direction")
+def _cor2_rows() -> List[BoundEvaluation]:
+    """H_a(w) = (1 - 4a^2/9)^2 (-log(1-w) - w) - w^2/2 <= 0 on [0, 4a^2/9]
+    (a 200 x 200 grid), its right-endpoint reduction to one variable on
+    [0, 4/9] (200 points), and the substitution identity at sampled a."""
     worst_val = -math.inf
     worst_at = (0.0, 0.0)
     # One a-row per array call; a later row must beat the maximum strictly,
     # so the first maximum in row-major order wins.
-    for a in np.linspace(1e-3, 1.0 - 1e-3, a_steps):
+    for a in np.linspace(1e-3, 1.0 - 1e-3, 200):
         c = 4.0 * a * a / 9.0
-        ws = np.linspace(0.0, c, w_steps)
+        ws = np.linspace(0.0, c, 200)
         vals = _cor2_h(a, ws)
         j = int(np.argmax(vals))
         if vals[j] > worst_val:
@@ -848,7 +765,7 @@ def _cor2_rows(a_steps: int = 200, w_steps: int = 200) -> List[BoundEvaluation]:
             0.0,
         )
     ]
-    vs = np.linspace(0.0, 4.0 / 9.0, w_steps)
+    vs = np.linspace(0.0, 4.0 / 9.0, 200)
     reduced = np.array([_cor2_reduced(v) for v in vs])
     instances.append(_grid_max("cor2", "reduced_grid", {}, "v", vs, reduced))
     instances.append(
@@ -907,22 +824,6 @@ def case1_poly_coeffs(r: float = R_THM5) -> np.ndarray:
     )
 
 
-def verify_thm5(grid: ScanGrid, r: Optional[float] = None) -> VerdictReport:
-    """Replay of the three-case proof of the product bound at radius r.
-
-    Case 1 (small first coefficient, family bound applies): nonpositivity of
-    the comparison polynomial on the certified x interval, the corrected
-    interval chain itself, and the printed-decimal identification of the
-    expanded polynomial.  Case 2 (middle range, logarithmic bound): maximum
-    value below the right side, plus the stated maximizer location.  Case 3
-    (large first coefficient): direct maximization.  Ring instances pin the
-    inequality at both boundary radii, mirroring the maximum-principle step.
-    """
-    upper = _family_peak(_thm5_family_lhs, R_HI, grid)
-    rows = _thm5_rows(grid, R_THM5 if r is None else r, x_of_a(0.6), upper)
-    return VerdictReport.from_instances("thm5", rows, DEFAULT_TOL)
-
-
 def _thm5_case2_lhs(a, r: float):
     """Case-2 product bound of thm5 for the first coefficient a (a float or
     an array): (1 - a^2)(a^2 r^2 + ((9 - 4a^2)^2 / 12)(log(1/(1-r^2)) - r^2))."""
@@ -941,10 +842,13 @@ def _thm5_case3_lhs(a, r: float):
 def _thm5_rows(
     grid: ScanGrid, r: float, x_case: float, upper: Tuple[float, float]
 ) -> List[BoundEvaluation]:
-    """Rows of ``verify_thm5`` at radius r, given the r-independent pieces:
-    x_case = x_of_a(3/5) and the family peak at R_HI as (value, argmax)."""
-    if not 0.0 < r < 1.0:
-        raise ValueError("r must lie in (0, 1)")
+    """The three-case proof of the product bound replayed at radius r, given
+    x_case = x_of_a(3/5) and the family peak at R_HI as (value, argmax).
+
+    Case 1 (a <= 3/5, family bound): the comparison polynomial's sign, the
+    interval chain and the printed decimals.  Case 2 (logarithmic bound):
+    the maximum and its stated location.  Case 3: direct maximization.  Ring
+    rows pin the bound at both boundary radii (the maximum principle)."""
     r2 = r * r
     rhs = 27.0 * r2 * r2 / 8.0
     instances: List[BoundEvaluation] = []
@@ -1032,8 +936,9 @@ def _scan_functional(bound_id: str, *radii: float) -> Callable[[float, float], f
     return _FAMILY_LHS[bound_id]
 
 
-def sharpness_scan(bound_id: str, r: float, grid: ScanGrid) -> VerdictReport:
-    """Maximize the relevant family functional at radius r against the bound.
+def sharpness_scan(bound_id: str, r: float, grid: ScanGrid) -> BoundEvaluation:
+    """Row for the relevant family functional's maximum at radius r against
+    the bound.
 
     A positive slack deficit (lhs above rhs) is a sharpness witness: the
     quartic bound fails at this radius.  Nonpositive is consistent with
@@ -1042,10 +947,7 @@ def sharpness_scan(bound_id: str, r: float, grid: ScanGrid) -> VerdictReport:
     """
     peak, arg = _family_peak(_scan_functional(bound_id, r), r, grid)
     rhs = bounds._thm_rhs_raw(bound_id, r)
-    inst = BoundEvaluation(
-        bound_id, f"scan/r={r:.8f}", {"r": r, "x": arg}, peak, rhs
-    )
-    return VerdictReport.from_instances(f"scan_{bound_id}", [inst], DEFAULT_TOL)
+    return BoundEvaluation(bound_id, f"scan/r={r:.8f}", {"r": r, "x": arg}, peak, rhs)
 
 
 def crossing_radius(
@@ -1174,8 +1076,8 @@ def _thm1_rows(
         )
         rows: Dict[str, List[BoundEvaluation]] = {"thm1_B": [], "thm1_B2": []}
         for x in _THM1_XS:
-            report = verify_thm1(x, 0.9 * r_admissible(x), per_x)
-            for inst in _prefixed(f"x={x:.1f}", report.instances):
+            thm1 = verify_thm1(x, 0.9 * r_admissible(x), per_x)
+            for inst in _prefixed(f"x={x:.1f}", thm1):
                 rows[inst.bound_id].append(inst)
         shared["thm1"] = rows
     return shared["thm1"]

@@ -30,7 +30,6 @@ from blochsums import (
     SchwarzSpec,
     X_SUP,
     a_of_x,
-    abel_weighted_dominance,
     bound_basic,
     bound_prop1,
     bound_thm1_B,
@@ -44,17 +43,14 @@ from blochsums import (
     make_subordinate,
     r_admissible,
     r_star,
-    rogosinski_dominance,
+    run_suite,
     sharpness_scan,
     tail_majorant_extremal,
     trapezoid,
-    verify_cor2,
-    verify_thm2,
-    verify_thm3,
-    verify_thm5,
     weighted_power_sum,
 )
 from blochsums.cli import main
+from blochsums.verify import _abel_row, _rogosinski_row
 
 
 def _failed(clauses):
@@ -195,22 +191,25 @@ def test_05_tail_bound_with_contact_equality(acceptance_recorder):
     assert ok, f"tail-bound violations: {failures[:5]}"
 
 
-def test_06_quadratic_form_certification(acceptance_recorder):
-    reports = {r: verify_thm2(r, x_steps=1000) for r in (THM2_R_LO, 0.55, R_HI)}
-    by_id = {i.instance_id: i for i in reports[THM2_R_LO].instances}
-    clauses = {
-        f"grid certificate at r={r:.4f}": rep.passed for r, rep in reports.items()
-    }
+def test_06_quadratic_form_certification(acceptance_recorder, default_grid):
+    report = run_suite("thm2", default_grid)
+    by_id = {i.instance_id: i for i in report.instances}
+    clauses = {}
+    for r in (THM2_R_LO, 0.55, R_HI):
+        rows = [i for i in report.instances if i.instance_id.startswith(f"r={r:.6f}/")]
+        clauses[f"grid certificate at r={r:.4f}"] = bool(rows) and all(
+            i.passes(report.tolerance) for i in rows
+        )
     clauses["factored form matches expansion within 1e-12"] = (
-        by_id["factored_form"].lhs <= 1e-12
+        by_id[f"r={THM2_R_LO:.6f}/factored_form"].lhs <= 1e-12
     )
     ok = all(clauses.values())
     acceptance_recorder(6, "quadratic-form certification", ok)
     assert ok, f"failed clauses: {_failed(clauses)}"
 
 
-def test_07_surd_coefficients_and_negativity(acceptance_recorder):
-    report = verify_thm3(x_steps=1000)
+def test_07_surd_coefficients_and_negativity(acceptance_recorder, default_grid):
+    report = run_suite("thm3", default_grid)
     by_id = {i.instance_id: i for i in report.instances}
     clauses = {
         f"printed decimal {j} within 1e-4": by_id[f"decimal/coeff{j}"].lhs <= 1e-4
@@ -222,8 +221,8 @@ def test_07_surd_coefficients_and_negativity(acceptance_recorder):
     assert ok, f"failed clauses: {_failed(clauses)}"
 
 
-def test_08_endpoint_reduction_nonpositive(acceptance_recorder):
-    report = verify_cor2(a_steps=200, w_steps=200)
+def test_08_endpoint_reduction_nonpositive(acceptance_recorder, default_grid):
+    report = run_suite("cor2", default_grid)
     by_id = {i.instance_id: i for i in report.instances}
     clauses = {
         "log comparison at most 1e-12 on the 200x200 grid": (
@@ -238,7 +237,7 @@ def test_08_endpoint_reduction_nonpositive(acceptance_recorder):
 
 
 def test_09_product_bound_cases_and_maximizer(acceptance_recorder, default_grid):
-    report = verify_thm5(default_grid)
+    report = run_suite("thm5", default_grid)
     by_id = {i.instance_id: i for i in report.instances}
     tol = default_grid.tolerance
     value_ids = [
@@ -277,7 +276,7 @@ def test_10_sharpness_threshold_crossing(acceptance_recorder, default_grid):
             abs(result.root - closed_form) <= 1e-4
         ),
         "violation witnessed just below the threshold": (
-            not below.passed and below.instances[0].slack < 0.0 and below.witnesses
+            not below.passes(default_grid.tolerance) and below.slack < 0.0
         ),
     }
     ok = all(clauses.values())
@@ -285,13 +284,17 @@ def test_10_sharpness_threshold_crossing(acceptance_recorder, default_grid):
     assert ok, f"failed clauses: {_failed(clauses)} (crossing at {result.root!r})"
 
 
-def test_11_dominance_properties_and_determinism(acceptance_recorder, tmp_path):
+def test_11_dominance_properties_and_determinism(
+    acceptance_recorder, default_grid, tmp_path
+):
+    tol = default_grid.tolerance
     rng = np.random.default_rng(111)
     rogosinski_failures = 0
     for _ in range(100):
         base = _random_base(rng, 128)
         composed = make_subordinate(base, _random_schwarz(rng), 128)
-        if not rogosinski_dominance(composed, base, 128).passed:
+        row = _rogosinski_row("rogosinski", "prefix", {}, composed, base, 128)
+        if not row.passes(tol):
             rogosinski_failures += 1
     abel_failures = 0
     order = 24
@@ -307,7 +310,7 @@ def test_11_dominance_properties_and_determinism(acceptance_recorder, tmp_path):
         else:
             lam = rng.uniform(0.2, 0.99) ** np.arange(u.size)
         try:
-            if not abel_weighted_dominance(u, v, lam).passed:
+            if not _abel_row("abel", "weighted_sum", u, v, lam).passes(tol):
                 abel_failures += 1
         except ValueError:
             abel_failures += 1

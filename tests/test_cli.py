@@ -33,6 +33,10 @@ def run_cli(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def _no_suite(*args, **kwargs):
+    raise AssertionError("a suite ran before the report directory was made")
+
+
 class TestRunConfig:
     def test_round_trip_defaults(self):
         # The defaults' text form, every key that has one named.
@@ -277,6 +281,37 @@ class TestVerifyCommand:
         assert err.startswith("usage error:")
         assert out == ""
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("case", ["under_a_file", "an_existing_file"])
+    def test_uncreatable_out_exits_1_before_any_suite(
+        self, capsys, tmp_path, monkeypatch, case
+    ):
+        monkeypatch.setattr(cli, "run_suite", _no_suite)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("not a directory\n")
+        out = blocker / "x" if case == "under_a_file" else blocker
+        rc, stdout, err = run_cli(capsys, "verify", "--suite", "thm2", "--out", str(out))
+        assert rc == 1
+        assert err.startswith(f"error: cannot create {out}: ")
+        assert stdout == ""
+
+    def test_empty_out_exits_2_both_ways(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_suite", _no_suite)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("suite = thm2\nout =\n")
+        for argv in (["--suite", "thm2", "--out", ""], ["--config", str(cfg)]):
+            rc, stdout, err = run_cli(capsys, "verify", *argv)
+            assert rc == 2
+            assert err.startswith("usage error: out must name a directory")
+            assert stdout == ""
+
+    def test_config_not_utf8_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"suite = thm2\n# caf\xe9\n")
+        rc, stdout, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert rc == 2
+        assert err.startswith(f"usage error: cannot read config {cfg}: ")
+        assert stdout == ""
 
     def test_thm1_composed_once_per_run(self, tmp_path, monkeypatch):
         calls = []

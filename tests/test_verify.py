@@ -14,19 +14,13 @@ from blochsums import (
     CoefficientSeries,
     ScanGrid,
     SchwarzSpec,
-    abel_weighted_dominance,
     crossing_radius,
     g_prime_coeffs,
     h_series,
     make_subordinate,
-    rogosinski_dominance,
     run_suite,
     sharpness_scan,
-    verify_cor2,
     verify_thm1,
-    verify_thm2,
-    verify_thm3,
-    verify_thm5,
 )
 from blochsums import bounds, verify
 from blochsums.bounds import THM2_R_LO, R_HI, r_admissible
@@ -34,7 +28,7 @@ from blochsums.families import X_GUARD, X_SUP, f_n_prime, x_of_a
 from blochsums.numerics import golden_max
 from blochsums.verify import (
     _FAMILY_LHS,
-    DEFAULT_TOL,
+    _abel_row,
     _cor1_tail_certificate,
     _cor2_h,
     _cor2_rows,
@@ -45,12 +39,21 @@ from blochsums.verify import (
     _random_schwarz,
     _rogosinski_row,
     _suite_prop1,
+    _thm2_rows,
+    _thm3_rows,
     _thm5_case2_lhs,
     _thm5_case3_lhs,
     _thm5_family_lhs,
     _thm5_rows,
     case1_poly_coeffs,
 )
+
+# The pass rule's default tolerance, which --tol and run_suite start from.
+TOL = ScanGrid().tolerance
+
+
+def _all_pass(rows, tol=TOL):
+    return bool(rows) and all(i.passes(tol) for i in rows)
 
 
 class TestSchwarzSpec:
@@ -179,16 +182,16 @@ class TestCompositionFastPaths:
 class TestRogosinskiDominance:
     def test_identity_pair_passes(self):
         g = g_prime_coeffs(0.3, 32)
-        report = rogosinski_dominance(g, g, 32)
-        assert report.passed
-        assert report.worst_slack == pytest.approx(0.0, abs=1e-15)
+        row = _rogosinski_row("rogosinski", "demo", {}, g, g, 32)
+        assert row.passes(TOL)
+        assert row.slack == pytest.approx(0.0, abs=1e-15)
 
     def test_detects_violation(self):
         f = CoefficientSeries([2.0], "derivative")
         g = CoefficientSeries([1.0], "derivative")
-        report = rogosinski_dominance(f, g, 0)
-        assert not report.passed
-        assert report.witnesses
+        row = _rogosinski_row("rogosinski", "demo", {}, f, g, 0)
+        assert not row.passes(TOL)
+        assert (row.lhs, row.params) == (3.0, {"n": 0.0})
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=25, deadline=None)
@@ -196,7 +199,11 @@ class TestRogosinskiDominance:
         rng = np.random.default_rng(seed)
         base = _random_bloch_prime(rng, 96)
         comp = make_subordinate(base, _random_schwarz(rng), 96)
-        assert rogosinski_dominance(comp, base, 96).passed
+        assert _rogosinski_row("rogosinski", "demo", {}, comp, base, 96).passes(TOL)
+
+
+def _abel(u, v, lam):
+    return _abel_row("abel", "weighted_sum", u, v, lam)
 
 
 class TestAbelWeightedDominance:
@@ -204,19 +211,19 @@ class TestAbelWeightedDominance:
         v = np.array([1.0, 0.5, 0.25, 0.125])
         u = v - np.array([0.1, 0.0, 0.2, 0.0])
         lam = np.array([1.0, 0.5, 0.25, 0.125])
-        assert abel_weighted_dominance(u, v, lam).passed
+        assert _abel(u, v, lam).passes(TOL)
 
     def test_prefix_violation_is_invalid_input(self):
         with pytest.raises(ValueError, match="prefix"):
-            abel_weighted_dominance([2.0, 0.0], [1.0, 5.0], [1.0, 0.5])
+            _abel([2.0, 0.0], [1.0, 5.0], [1.0, 0.5])
 
     def test_weight_monotonicity_required(self):
         with pytest.raises(ValueError, match="nonincreasing"):
-            abel_weighted_dominance([0.0, 0.0], [1.0, 1.0], [0.5, 1.0])
+            _abel([0.0, 0.0], [1.0, 1.0], [0.5, 1.0])
 
     def test_weight_sign_required(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            abel_weighted_dominance([0.0, 0.0], [1.0, 1.0], [1.0, -0.5])
+            _abel([0.0, 0.0], [1.0, 1.0], [1.0, -0.5])
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=50, deadline=None)
@@ -227,14 +234,14 @@ class TestAbelWeightedDominance:
         deficits = np.cumsum(rng.uniform(0.0, 0.5, m))
         u = v - np.diff(np.concatenate(([0.0], deficits)))
         lam = np.sort(rng.uniform(0.0, 2.0, m))[::-1]
-        assert abel_weighted_dominance(u, v, lam).passed
+        assert _abel(u, v, lam).passes(TOL)
 
 
 class TestTheoremSuites:
     def test_thm1_equality_and_samples(self, light_grid):
-        report = verify_thm1(0.2, 0.9 * (R_HI - 0.2) / (1 - 0.2 * R_HI), light_grid)
-        assert report.passed
-        ids = {inst.instance_id for inst in report.instances}
+        rows = verify_thm1(0.2, 0.9 * (R_HI - 0.2) / (1 - 0.2 * R_HI), light_grid)
+        assert _all_pass(rows, light_grid.tolerance)
+        ids = {inst.instance_id for inst in rows}
         assert "equality/le" in ids and "equality/ge" in ids
 
     def test_thm1_rejects_inadmissible_radius(self, light_grid):
@@ -243,28 +250,27 @@ class TestTheoremSuites:
 
     @pytest.mark.parametrize("r", (THM2_R_LO, 0.55, R_HI))
     def test_thm2_radii(self, r):
-        report = verify_thm2(r, x_steps=400)
-        assert report.passed
+        assert _all_pass(_thm2_rows(r))
 
     def test_thm2_interval_gate(self):
         with pytest.raises(ValueError):
-            verify_thm2(0.4)
+            _thm2_rows(0.4)
 
     def test_thm3(self):
-        report = verify_thm3(x_steps=400)
-        assert report.passed
-        decimals = [i for i in report.instances if i.instance_id.startswith("decimal")]
+        rows = _thm3_rows()
+        assert _all_pass(rows)
+        decimals = [i for i in rows if i.instance_id.startswith("decimal")]
         assert len(decimals) == 6
 
     def test_cor2(self):
-        report = verify_cor2(80, 80)
-        assert report.passed
-        by_id = {i.instance_id: i for i in report.instances}
+        rows = _cor2_rows()
+        assert _all_pass(rows)
+        by_id = {i.instance_id: i for i in rows}
         # the derivative never changes sign inside (0, c]: max sits at w = 0
         assert by_id["hprime_sign_changes"].lhs == 0.0
 
     def test_thm5_default_red_is_only_case2_argmax(self, light_grid):
-        report = verify_thm5(light_grid)
+        report = run_suite("thm5", light_grid)
         failing = [
             i.instance_id
             for i in report.instances
@@ -280,14 +286,15 @@ class TestTheoremSuites:
         assert abs(p[1]) <= 1e-14
 
     def test_thm5_below_threshold_shows_violation(self, light_grid):
-        report = verify_thm5(light_grid, R_THM5 - 0.01)
+        r = R_THM5 - 0.01
+        report = run_suite("thm5", dataclasses.replace(light_grid, r_values=(r,)))
         failing = {
             i.instance_id
             for i in report.instances
             if not i.passes(light_grid.tolerance)
         }
-        assert "case1/negativity" in failing
-        assert "ring/lower" in failing
+        assert f"r={r:.6f}/case1/negativity" in failing
+        assert f"r={r:.6f}/ring/lower" in failing
 
 
 class TestRowHelpers:
@@ -312,8 +319,6 @@ class TestRowHelpers:
         row = _rogosinski_row("thm1_B", "demo", {"x": 0.1}, f, g, 3)
         assert row.params == {"x": 0.1, "n": 1.0}
         assert (row.lhs, row.rhs) == (2.0, 0.0)
-        worst = min(rogosinski_dominance(f, g, 3).instances, key=lambda i: i.slack)
-        assert (worst.params["n"], -worst.slack) == (row.params["n"], row.lhs)
 
     def test_prop1_samples_report_the_first_radius_of_equal_excess(self, monkeypatch):
         # Every radius gives the same excess tail - cap: the first, 0.15, wins.
@@ -337,12 +342,13 @@ class TestRowHelpers:
 
 class TestSharpnessMachinery:
     def test_scan_consistent_at_threshold(self, default_grid):
-        assert sharpness_scan("thm5", R_THM5, default_grid).passed
+        row = sharpness_scan("thm5", R_THM5, default_grid)
+        assert row.passes(default_grid.tolerance)
 
     def test_scan_flags_violation_below_threshold(self, default_grid):
-        report = sharpness_scan("thm5", R_THM5 - 0.01, default_grid)
-        assert not report.passed
-        assert report.worst_slack < -1e-5
+        row = sharpness_scan("thm5", R_THM5 - 0.01, default_grid)
+        assert not row.passes(default_grid.tolerance)
+        assert row.slack < -1e-5
 
     def test_thm2_scan_crossing_matches_root(self, default_grid):
         result = crossing_radius("thm2", 0.38, 0.41, default_grid, tol=1e-12)
@@ -463,14 +469,15 @@ class TestArrayClosedForms:
                 assert np.array_equal(got.view(np.uint64), scalars.view(np.uint64)), a
 
 
-def _cor2_grid_oracle(a_steps, w_steps):
+def _cor2_grid_oracle():
     """``(lhs, a, w)`` of the cor2 ``h_grid`` row as the scalar double loop
-    that the row-at-a-time evaluation replaced: first maximum in row-major
-    order, each cell one scalar ``_cor2_h`` call."""
+    over the 200 x 200 grid that the row-at-a-time evaluation replaced:
+    first maximum in row-major order, each cell one scalar ``_cor2_h``
+    call."""
     worst_val, worst_at = -math.inf, (0.0, 0.0)
-    for a in np.linspace(1e-3, 1.0 - 1e-3, a_steps):
+    for a in np.linspace(1e-3, 1.0 - 1e-3, 200):
         c = 4.0 * a * a / 9.0
-        for w in np.linspace(0.0, c, w_steps):
+        for w in np.linspace(0.0, c, 200):
             val = _cor2_h(a, w)
             if val > worst_val:
                 worst_val, worst_at = val, (float(a), float(w))
@@ -525,11 +532,10 @@ class TestFamilyGridOracles:
         # The grid maximum, not the golden one, sets both rows at some radii.
         assert min(grid_wins.values()) > 0
 
-    @pytest.mark.parametrize("steps", [(200, 200), (2, 2), (37, 5)])
-    def test_cor2_h_grid_matches_oracle(self, steps):
-        (row,) = [i for i in _cor2_rows(*steps) if i.instance_id == "h_grid"]
+    def test_cor2_h_grid_matches_oracle(self):
+        (row,) = [i for i in _cor2_rows() if i.instance_id == "h_grid"]
         got = _bits(row.lhs, row.params["a"], row.params["w"])
-        assert np.array_equal(got, _bits(*_cor2_grid_oracle(*steps)))
+        assert np.array_equal(got, _bits(*_cor2_grid_oracle()))
 
 
 class TestSuiteRunners:
@@ -587,8 +593,8 @@ class TestSuiteRunners:
 
 
 class TestSuitesJudgeOnce:
-    """Suites return rows and run_suite judges them under grid.tolerance; the
-    standalone functions build the same rows and judge at DEFAULT_TOL."""
+    """Suites return the rows of their row builders, called alone, and
+    run_suite judges them under grid.tolerance."""
 
     grid = ScanGrid(tolerance=1e-20)
 
@@ -600,22 +606,18 @@ class TestSuitesJudgeOnce:
         report = run_suite("thm2", self.grid)
         expected = []
         for r in (THM2_R_LO, 0.55, R_HI):
-            alone = verify_thm2(r)
-            self.check_judged(alone, DEFAULT_TOL)
             expected += [
                 dataclasses.replace(i, instance_id=f"r={r:.6f}/{i.instance_id}")
-                for i in alone.instances
+                for i in _thm2_rows(r)
             ]
         assert report.instances == expected
         self.check_judged(report, 1e-20)
 
     @pytest.mark.parametrize(
         "suite, standalone",
-        [("thm3", lambda: verify_thm3()), ("cor2", lambda: verify_cor2(200, 200))],
+        [("thm3", lambda: _thm3_rows()), ("cor2", lambda: _cor2_rows())],
     )
     def test_rows_equal_the_standalone_rows(self, suite, standalone):
         report = run_suite(suite, self.grid)
-        alone = standalone()
-        assert report.instances == alone.instances
+        assert report.instances == standalone()
         self.check_judged(report, 1e-20)
-        self.check_judged(alone, DEFAULT_TOL)
