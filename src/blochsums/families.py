@@ -69,6 +69,11 @@ def b2_max(x: float) -> float:
     """Extremal second coefficient (3 sqrt(3)/4) (1 - 3x^2)(1 - x^2)."""
     if not 0.0 <= x <= X_SUP:
         raise ValueError("x must lie in [0, 1/sqrt(3)]")
+    return _b2_max_raw(x)
+
+
+def _b2_max_raw(x):
+    """``b2_max`` without the range check; x a float or an array."""
     return 0.75 * SQRT3 * (1.0 - 3.0 * x * x) * (1.0 - x * x)
 
 

@@ -1,7 +1,9 @@
 """Scalar numerical kernel: bracketing root finder, sign-change scanner,
 golden-section maximizer, and composite trapezoid quadrature.  Two private
 helpers, ``_pow`` and ``_log1m_tail``, take a float or an array, so that a
-closed form written once takes a radius or a whole grid in one call.
+closed form written once takes a radius or a whole grid in one call.  The
+trapezoid adds its node values left to right in ``_trapezoid_sum``, which
+``trapezoid`` and callers that evaluate the nodes in one array call share.
 
 Everything here is pure and deterministic.  Bisection is preferred wherever
 a bracket exists because its convergence is unconditional, and none of the
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
 from numpy import ndarray
@@ -40,16 +42,26 @@ def _straddles(a: float, b: float) -> bool:
 def _log1m_tail(t):
     """-log(1 - t) - t for 0 <= t < 1; t a float or an array, each of whose
     elements gets the bits of a scalar call (``math.log1p`` may differ by one
-    ulp from NumPy's).  The direct form loses about 3e-16 / t of relative
-    accuracy to cancellation, so below t = 0.01 it is
-    t^2/(2 - t) + 2 (s^3/3 + s^5/5 + ...) with s = t/(2 - t), from
-    -log(1 - t) = 2 atanh(s): all terms positive, and the first one left out
-    below 1e-17 of the sum."""
+    ulp from NumPy's, so the entries t >= 0.01 take it one by one).  The
+    direct form loses about 3e-16 / t of relative accuracy to cancellation,
+    so below t = 0.01 it is t^2/(2 - t) + 2 (s^3/3 + s^5/5 + ...) with
+    s = t/(2 - t), from -log(1 - t) = 2 atanh(s): all terms positive, and the
+    first one left out below 1e-17 of the sum."""
     if type(t) is ndarray:
-        return np.array([_log1m_tail(v) for v in t.tolist()])
+        flat = t.ravel()
+        small = flat < 0.01
+        out = np.empty(flat.shape)
+        out[small] = _log1m_series(flat[small])
+        out[~small] = [-math.log1p(-v) - v for v in flat[~small].tolist()]
+        return out.reshape(t.shape)
     if not t < 0.01:
         return -math.log1p(-t) - t
-    t = float(t)  # a NumPy scalar would make each operation below slower
+    return _log1m_series(float(t))  # a NumPy scalar would make each step slower
+
+
+def _log1m_series(t):
+    """``_log1m_tail``'s series branch; t a float or an array.  Only + - * /,
+    which round the same in NumPy and in Python."""
     s = t / (2.0 - t)
     s2 = s * s
     return t * t / (2.0 - t) + 2.0 * s * s2 * (1.0 / 3.0 + s2 / 5.0 + s2 * s2 / 7.0)
@@ -57,13 +69,13 @@ def _log1m_tail(t):
 
 def _pow(v, k: int):
     """v ** k through Python's float pow (the C library's pow); v a float or
-    an array, each of whose elements gets the bits of a scalar call.  NumPy's
-    vector ``**`` may take a SIMD path that rounds some elements differently;
-    + - * / round the same in NumPy and in Python.  The exact type test, not
-    ``isinstance``, keeps a scalar call (the integrand of the ``thm1_B2``
-    trapezoid) within a few ns of a bare ``v**k``."""
+    an array of any shape, each of whose elements gets the bits of a scalar
+    call.  NumPy's vector ``**`` may take a SIMD path that rounds some
+    elements differently; + - * / round the same in NumPy and in Python.  The
+    exact type test, not ``isinstance``, keeps a scalar call within a few ns
+    of a bare ``v**k``."""
     if type(v) is ndarray:
-        return np.array([e**k for e in v.tolist()])
+        return np.array([e**k for e in v.ravel().tolist()]).reshape(v.shape)
     return v**k
 
 
@@ -211,18 +223,26 @@ def trapezoid(
     hi: float,
     m: int,
 ) -> float:
-    """Composite trapezoid rule with ``m`` subintervals.
+    """Composite trapezoid rule with ``m`` subintervals; f takes a float.
 
     For smooth integrands the error scales as O(m^-2); for trigonometric
     polynomials sampled over a full period the rule is exact once the node
-    count exceeds the polynomial degree.
+    count exceeds the polynomial degree.  The node values are added left to
+    right, the end nodes' half-sum first.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
     if not math.isfinite(lo) or not math.isfinite(hi):
         raise ValueError("integration limits must be finite")
     h = (hi - lo) / m
-    total = 0.5 * (f(lo) + f(hi))
-    for i in range(1, m):
-        total += f(lo + i * h)
+    return _trapezoid_sum(f(lo), f(hi), (f(lo + i * h) for i in range(1, m)), h)
+
+
+def _trapezoid_sum(f_lo: float, f_hi: float, inner: Iterable[float], h: float) -> float:
+    """h ((f_lo + f_hi)/2 + the inner node values added left to right).  The
+    order is part of the result's bits: ``np.sum`` and ``math.fsum`` add in
+    another order and round differently."""
+    total = 0.5 * (f_lo + f_hi)
+    for v in inner:
+        total += v
     return total * h

@@ -51,6 +51,7 @@ from .families import (
     X_GUARD,
     X_SUP,
     _a_of_x_raw,
+    _b2_max_raw,
     a_of_x,
     b2_max,
     f_n_prime,
@@ -61,10 +62,10 @@ from .families import (
 from .numerics import (
     _log1m_tail,
     _pow,
+    _trapezoid_sum,
     bisect,
     golden_max,
     sign_changes,
-    trapezoid,
 )
 from .series import (
     KIND_DERIVATIVE,
@@ -578,9 +579,11 @@ def verify_thm1(x: float, r: float, grid: ScanGrid) -> List[BoundEvaluation]:
     return instances
 
 
-def _thm2_quadratic(x: float, r2: float) -> float:
-    a = a_of_x(x)
-    b2 = b2_max(x)
+def _thm2_quadratic(x, r2: float):
+    """The quadratic form at the boundary pair (a(x), b2max(x)); x a float
+    or an array."""
+    a = _a_of_x_raw(x)
+    b2 = _b2_max_raw(x)
     return (
         (1.0 - 9.0 * r2 * r2) * a * a
         + (4.0 * r2 - 12.0 * r2 * r2) * b2 * b2
@@ -588,13 +591,14 @@ def _thm2_quadratic(x: float, r2: float) -> float:
     )
 
 
-def _thm2_sextic(x: float, r2: float) -> float:
+def _thm2_sextic(x, r2: float):
+    """The sextic whose sign decides thm2; x a float or an array."""
     x2 = x * x
     return (
         1.0
         - 2.0 * x2
         + x2 * x2
-        + r2 * (-5.0 + 16.0 * x2 - 21.0 * x2 * x2 + 9.0 * x2**3)
+        + r2 * (-5.0 + 16.0 * x2 - 21.0 * x2 * x2 + 9.0 * _pow(x2, 3))
     )
 
 
@@ -605,8 +609,8 @@ def _thm2_rows(r: float) -> List[BoundEvaluation]:
     bounds._check_thm_interval("thm2", r)
     r2 = r * r
     xs = np.linspace(X_GUARD, X_SUP - X_GUARD, 1000)
-    quad = np.array([_thm2_quadratic(x, r2) for x in xs])
-    sextic = np.array([_thm2_sextic(x, r2) for x in xs])
+    quad = _thm2_quadratic(xs, r2)
+    sextic = _thm2_sextic(xs, r2)
     rhs = 27.0 * r2 / 4.0
     identity_dev = np.abs(
         (quad - rhs) - (27.0 / 4.0) * (1.0 - 3.0 * r2) * xs * xs * sextic
@@ -661,7 +665,8 @@ def thm3_surd_coefficients() -> Tuple[float, ...]:
     )
 
 
-def _thm3_sextic(x: float) -> float:
+def _thm3_sextic(x):
+    """Horner form of the surd-coefficient sextic; x a float or an array."""
     total = 0.0
     for c in reversed(thm3_surd_coefficients()):
         total = (total + c) * x
@@ -702,7 +707,7 @@ def _thm3_rows() -> List[BoundEvaluation]:
     coefficient against its printed decimal, and the factored form against
     two independent routes to the same quantity."""
     xs = np.linspace(X_GUARD, X_SUP - X_GUARD, 1000)
-    sextic = np.array([_thm3_sextic(x) for x in xs])
+    sextic = _thm3_sextic(xs)
     instances = [_grid_max("thm3", "negativity", {}, "x", xs, sextic)]
     for j, (exact, printed) in enumerate(
         zip(thm3_surd_coefficients(), THM3_PRINTED_DECIMALS), start=1
@@ -736,8 +741,9 @@ def _cor2_h(a: float, w):
     return (1.0 - c) ** 2 * _log1m_tail(w) - w * w / 2.0
 
 
-def _cor2_reduced(v: float) -> float:
-    return _log1m_tail(v) - v * v / (2.0 * (1.0 - v) ** 2)
+def _cor2_reduced(v):
+    """H at the right endpoint, divided by (1 - v)^2; v a float or an array."""
+    return _log1m_tail(v) - v * v / (2.0 * _pow(1.0 - v, 2))
 
 
 def _cor2_rows() -> List[BoundEvaluation]:
@@ -766,7 +772,7 @@ def _cor2_rows() -> List[BoundEvaluation]:
         )
     ]
     vs = np.linspace(0.0, 4.0 / 9.0, 200)
-    reduced = np.array([_cor2_reduced(v) for v in vs])
+    reduced = _cor2_reduced(vs)
     instances.append(_grid_max("cor2", "reduced_grid", {}, "v", vs, reduced))
     instances.append(
         BoundEvaluation(
@@ -1083,25 +1089,30 @@ def _thm1_rows(
     return shared["thm1"]
 
 
+def _thm1_B2_quadrature(x: float, r: float) -> float:
+    """The integral of B(x, sqrt(u))/u over [0, r^2] by a 4096-subinterval
+    trapezoid.  Its nodes i h (i = 1 .. 4095) and its upper end r^2 are
+    valued in one array call, each with the bits of a scalar call, and
+    ``_trapezoid_sum`` adds them in ``trapezoid``'s order; at u = 0 the
+    integrand is its limit a(x)^2."""
+    hi = r * r
+    h = hi / 4096
+    us = np.append(np.arange(1, 4096) * h, hi)
+    vals = (bounds._thm1_B_raw(x, np.sqrt(us)) / us).tolist()
+    return _trapezoid_sum(a_of_x(x) ** 2, vals[-1], vals[:-1], h)
+
+
 def _suite_thm1_B2(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluation]:
     instances = list(_thm1_rows(grid, shared)["thm1_B2"])
     for x in (0.05, 0.1, 0.15, 0.2, 0.25):
-        a2 = a_of_x(x) ** 2
         for frac in (0.5, 0.7, 0.9, 1.0):
             r = frac * r_admissible(x)
-
-            def integrand(u: float, x=x, a2=a2) -> float:
-                if u == 0.0:
-                    return a2  # analytic limit of B(x, sqrt(u))/u
-                return bounds._thm1_B_raw(x, math.sqrt(u)) / u
-
-            quad = trapezoid(integrand, 0.0, r * r, 4096)
             instances.append(
                 _budget(
                     "thm1_B2",
                     f"integral/x={x:.2f}/f={frac:.1f}",
                     {"x": x, "r": r},
-                    quad - bound_thm1_B2(x, r),
+                    _thm1_B2_quadrature(x, r) - bound_thm1_B2(x, r),
                     1e-8,
                 )
             )

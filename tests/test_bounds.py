@@ -198,3 +198,28 @@ class TestBoundEvaluation:
         assert inst.passes(1e-10)
         strict = BoundEvaluation("thm1_B", "demo", {}, lhs=1.0, rhs=1.0 - 1e-6)
         assert not strict.passes(1e-10)
+
+
+@pytest.mark.parametrize(
+    "bound, args, radii",
+    [
+        (bound_basic, (), (0.0, 0.3, 0.9)),
+        (bound_prop1, (3,), (0.0, 0.3, r_star(3))),
+        (bound_thm1_B, (0.2,), (0.0, 0.3, r_admissible(0.2))),
+        (bound_thm1_B2, (0.2,), (0.0, 0.3, r_admissible(0.2))),
+        (bound_cor1, (0.5,), (0.0, 1e-80, 0.3, R_HI)),
+    ]
+    + [
+        (thm_rhs, (b,), (validity_interval(b)[0], 0.55, R_HI))
+        for b in ("thm2", "thm3", "cor2", "thm5")
+    ],
+    ids=["basic", "prop1", "thm1_B", "thm1_B2", "cor1", "thm2", "thm3", "cor2", "thm5"],
+)
+def test_zero_dim_radius_has_the_bits_of_a_float_radius(bound, args, radii):
+    # A radius given as np.array(r) is a 0-d array: the power and log-tail
+    # helpers must take it like a one-element grid, not iterate a float.
+    for r in radii:
+        got = np.asarray(bound(*args, np.array(r)), dtype=np.float64)
+        want = np.float64(bound(*args, r))
+        assert got.shape == ()
+        assert got.view(np.uint64) == want.view(np.uint64), r

@@ -143,6 +143,26 @@ class TestTrapezoid:
         with pytest.raises(ValueError):
             trapezoid(lambda x: x, 0.0, 1.0, 0)
 
+    def test_adds_the_node_values_left_to_right(self):
+        # The scalar loop is the oracle: np.sum and math.fsum add in another
+        # order and change the last bits, and the thm1_B2 rows share the sum.
+        def loop(f, lo, hi, m):
+            h = (hi - lo) / m
+            total = 0.5 * (f(lo) + f(hi))
+            for i in range(1, m):
+                total += f(lo + i * h)
+            return total * h
+
+        cases = [
+            (math.sqrt, 0.0, 2.0, 4096),
+            (lambda x: math.sin(37.0 * x) / (x + 1e-3), 0.0, 3.0, 4096),
+            (lambda x: math.exp(-x * x), -4.0, 4.0, 1001),
+            (lambda x: x**3, 0.0, 1.0, 2),
+        ]
+        for f, lo, hi, m in cases:
+            got = np.float64(trapezoid(f, lo, hi, m)).view(np.uint64)
+            assert got == np.float64(loop(f, lo, hi, m)).view(np.uint64), (lo, hi, m)
+
 
 class TestLog1mTail:
     def test_relative_error_on_unit_interval(self):
@@ -165,12 +185,27 @@ class TestLog1mTail:
 def test_array_has_the_bits_of_float_and_numpy_scalar_calls(helper):
     # The closed forms take a radius or a grid through these two helpers;
     # NumPy's vector ``**`` and ``np.log1p`` round some elements differently.
+    # ``_log1m_tail`` switches from its series to log1p at t = 0.01.
     rng = np.random.default_rng(2022)
+    cut = [0.0, 0.01, np.nextafter(0.01, 0.0), np.nextafter(0.01, 1.0)]
     vs = np.concatenate(
-        [rng.uniform(0.0, 0.999, 5000), np.logspace(-12, -2, 200), [0.0, 0.01]]
+        [
+            rng.uniform(0.0, 0.999, 5000),
+            np.logspace(-12, -2, 200),
+            np.linspace(0.0095, 0.0105, 101),
+            cut,
+        ]
     )
     got = helper(vs)
     floats = np.array([helper(v) for v in vs.tolist()])
     scalars = np.array([helper(v) for v in vs])
     assert np.array_equal(got.view(np.uint64), floats.view(np.uint64))
     assert np.array_equal(got.view(np.uint64), scalars.view(np.uint64))
+    # Any shape: empty, 0-d (a radius passed as np.array(r)) and 2-d.
+    assert helper(np.array([])).shape == (0,)
+    for v in cut + [0.3]:
+        zero_d = helper(np.array(v))
+        assert zero_d.shape == ()
+        assert zero_d.view(np.uint64) == np.float64(helper(v)).view(np.uint64), v
+    two_d = helper(vs[:5000].reshape(50, 100)).view(np.uint64)
+    assert np.array_equal(two_d, got[:5000].reshape(50, 100).view(np.uint64))

@@ -22,15 +22,16 @@ from blochsums import (
     sharpness_scan,
     verify_thm1,
 )
-from blochsums import bounds, verify
+from blochsums import bounds, numerics, verify
 from blochsums.bounds import THM2_R_LO, R_HI, r_admissible
-from blochsums.families import X_GUARD, X_SUP, f_n_prime, x_of_a
+from blochsums.families import X_GUARD, X_SUP, a_of_x, b2_max, f_n_prime, x_of_a
 from blochsums.numerics import golden_max
 from blochsums.verify import (
     _FAMILY_LHS,
     _abel_row,
     _cor1_tail_certificate,
     _cor2_h,
+    _cor2_reduced,
     _cor2_rows,
     _family_peak,
     _grid_max,
@@ -39,8 +40,12 @@ from blochsums.verify import (
     _random_schwarz,
     _rogosinski_row,
     _suite_prop1,
+    _thm1_B2_quadrature,
+    _thm2_quadratic,
     _thm2_rows,
+    _thm2_sextic,
     _thm3_rows,
+    _thm3_sextic,
     _thm5_case2_lhs,
     _thm5_case3_lhs,
     _thm5_family_lhs,
@@ -536,6 +541,139 @@ class TestFamilyGridOracles:
         (row,) = [i for i in _cor2_rows() if i.instance_id == "h_grid"]
         got = _bits(row.lhs, row.params["a"], row.params["w"])
         assert np.array_equal(got, _bits(*_cor2_grid_oracle()))
+
+
+def _thm1_B2_trapezoid_oracle(x, r):
+    """The thm1_B2 quadrature as the scalar loop it replaced: one
+    ``_thm1_B_raw`` call per node, added left to right."""
+    a2 = a_of_x(x) ** 2
+
+    def integrand(u):
+        if u == 0.0:
+            return a2
+        return bounds._thm1_B_raw(x, math.sqrt(u)) / u
+
+    lo, hi, m = 0.0, r * r, 4096
+    h = (hi - lo) / m
+    total = 0.5 * (integrand(lo) + integrand(hi))
+    for i in range(1, m):
+        total += integrand(lo + i * h)
+    return total * h
+
+
+def _thm2_quadratic_oracle(x, r2):
+    a = a_of_x(x)
+    b2 = b2_max(x)
+    return (
+        (1.0 - 9.0 * r2 * r2) * a * a
+        + (4.0 * r2 - 12.0 * r2 * r2) * b2 * b2
+        + 81.0 * r2 * r2 / 4.0
+    )
+
+
+def _thm2_sextic_oracle(x, r2):
+    x2 = x * x
+    return (
+        1.0
+        - 2.0 * x2
+        + x2 * x2
+        + r2 * (-5.0 + 16.0 * x2 - 21.0 * x2 * x2 + 9.0 * x2**3)
+    )
+
+
+def _cor2_reduced_oracle(v):
+    return verify._log1m_tail(v) - v * v / (2.0 * (1.0 - v) ** 2)
+
+
+class TestScalarLoopOracles:
+    """The quadrature and the thm2, thm3 and cor2 grids are array calls; the
+    scalar loops they replaced, kept here, must give the same bits, with
+    NumPy scalars (the loops over grids) and with Python floats."""
+
+    @staticmethod
+    def _assert_loop_bits(got, form, nodes, *args):
+        for points in (nodes, nodes.tolist()):
+            want = np.array([form(v, *args) for v in points])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), args
+
+    def test_thm1_B2_integral_rows(self, light_grid):
+        rows = [
+            i
+            for i in run_suite("thm1_B2", light_grid).instances
+            if i.instance_id.startswith("integral/")
+        ]
+        assert len(rows) == 20
+        for row in rows:
+            x, r = row.params["x"], row.params["r"]
+            want = abs(_thm1_B2_trapezoid_oracle(x, r) - bounds.bound_thm1_B2(x, r))
+            assert _bits(row.lhs) == _bits(want), row.instance_id
+
+    def test_thm1_B2_quadrature_on_a_wider_grid(self):
+        for x in np.linspace(0.01, R_HI - 0.01, 9).tolist():
+            for frac in (0.1, 0.3, 0.6, 0.8, 0.95, 1.0):
+                r = frac * r_admissible(x)
+                got = _thm1_B2_quadrature(x, r)
+                assert _bits(got) == _bits(_thm1_B2_trapezoid_oracle(x, r)), (x, r)
+
+    @pytest.mark.parametrize("r", (THM2_R_LO, 0.55, R_HI))
+    def test_thm2_grid(self, r):
+        xs = np.linspace(X_GUARD, X_SUP - X_GUARD, 1000)
+        r2 = r * r
+        self._assert_loop_bits(_thm2_quadratic(xs, r2), _thm2_quadratic_oracle, xs, r2)
+        self._assert_loop_bits(_thm2_sextic(xs, r2), _thm2_sextic_oracle, xs, r2)
+
+    def test_thm3_grid(self):
+        xs = np.linspace(X_GUARD, X_SUP - X_GUARD, 1000)
+        self._assert_loop_bits(_thm3_sextic(xs), _thm3_sextic, xs)
+
+    def test_cor2_reduced_grid(self):
+        vs = np.linspace(0.0, 4.0 / 9.0, 200)
+        self._assert_loop_bits(_cor2_reduced(vs), _cor2_reduced_oracle, vs)
+        want = np.array([_cor2_reduced_oracle(v) for v in vs])
+        i = int(np.argmax(want))
+        (row,) = [r for r in _cor2_rows() if r.instance_id == "reduced_grid"]
+        assert np.array_equal(_bits(row.lhs, row.params["v"]), _bits(want[i], vs[i]))
+
+
+class TestNoPerPointLoops:
+    """Structural guards, with no timing: the grids above stay array calls."""
+
+    def test_thm1_B2_values_each_trapezoid_in_one_call(self, monkeypatch, light_grid):
+        raw = bounds._thm1_B_raw
+        calls = []
+
+        def counted(x, r):
+            calls.append(np.size(r))
+            return raw(x, r)
+
+        monkeypatch.setattr(bounds, "_thm1_B_raw", counted)
+        run_suite("thm1_B2", light_grid)
+        # 20 trapezoids and the 3 thm1 radii; a call per node made 81,923.
+        assert len(calls) <= 50
+        assert sum(calls) >= 20 * 4096
+
+    def test_cor2_takes_log1p_only_on_entries_at_or_above_the_cutoff(
+        self, default_grid, monkeypatch
+    ):
+        tail, log1p = numerics._log1m_tail, math.log1p
+        counts = {"tail": 0, "big": 0, "log1p": 0}
+
+        def counted_tail(t):
+            counts["tail"] += 1
+            counts["big"] += int(np.count_nonzero(~(np.asarray(t) < 0.01)))
+            return tail(t)
+
+        def counted_log1p(v):
+            counts["log1p"] += 1
+            return log1p(v)
+
+        monkeypatch.setattr(numerics, "_log1m_tail", counted_tail)
+        monkeypatch.setattr(verify, "_log1m_tail", counted_tail)
+        monkeypatch.setattr(math, "log1p", counted_log1p)
+        run_suite("cor2", default_grid)
+        assert 0 < counts["log1p"] == counts["big"]
+        # One call per grid row or scalar row; a call per point made ~40,000.
+        assert counts["tail"] <= 300
 
 
 class TestSuiteRunners:
