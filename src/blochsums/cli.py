@@ -51,9 +51,11 @@ from .verify import (
     DEFAULT_TOL,
     ScanGrid,
     VerdictReport,
+    _family_peak,
+    _scan_functional,
+    _scan_row,
     crossing_radius,
     run_suite,
-    sharpness_scan,
 )
 
 __all__ = [
@@ -449,12 +451,14 @@ def cmd_scan(
         raise UsageError(f"scan radii must lie in (0, 1), got {lo!r}:{hi!r}")
     radii = np.linspace(lo, hi, steps)
     lines = ["r,max_lhs,rhs,slack,x_at_max"]
-    slacks: List[float] = []
-    for r in radii:
-        row = sharpness_scan(bound_id, float(r), grid)
-        slacks.append(row.slack)
+    # All rows' family peaks come from one lockstep search over the radii.
+    rs = radii.tolist()
+    peaks, args = _family_peak(_scan_functional(bound_id, *rs), radii, grid)
+    rows = [_scan_row(bound_id, *r) for r in zip(rs, peaks.tolist(), args.tolist())]
+    slacks = [row.slack for row in rows]
+    for row in rows:
         lines.append(
-            f"{_fmt(float(r))},{_fmt(row.lhs)},{_fmt(row.rhs)},"
+            f"{_fmt(row.params['r'])},{_fmt(row.lhs)},{_fmt(row.rhs)},"
             f"{_fmt(row.slack)},{_fmt(row.params['x'])}"
         )
     _emit("\n".join(lines) + "\n", out_path)

@@ -1,7 +1,11 @@
-"""Scalar numerical kernel: bracketing root finder, sign-change scanner,
-golden-section maximizer, and composite trapezoid quadrature.  Two private
-helpers, ``_pow`` and ``_log1m_tail``, take a float or an array, so that a
-closed form written once takes a radius or a whole grid in one call.  The
+"""Numerical kernel: bracketing root finder, sign-change scanner,
+golden-section maximizer, and composite trapezoid quadrature.  The private
+helpers ``_pow``, ``_log1m_tail`` and ``_log1m_tail_direct`` take a float or
+an array, so that a closed form written once takes a radius or a whole grid
+in one call.  In the same way ``golden_max`` takes a float bracket or an
+array of brackets, whose searches run in lockstep, and so do its two refined
+forms, ``_refined_max`` (a pre-scan, then golden over the whole bracket) and
+``_grid_refined_max`` (a grid, then golden around its largest node).  The
 trapezoid adds its node values left to right in ``_trapezoid_sum``, which
 ``trapezoid`` and callers that evaluate the nodes in one array call share.
 
@@ -65,6 +69,17 @@ def _log1m_series(t):
     s = t / (2.0 - t)
     s2 = s * s
     return t * t / (2.0 - t) + 2.0 * s * s2 * (1.0 / 3.0 + s2 / 5.0 + s2 * s2 / 7.0)
+
+
+def _log1m_tail_direct(t):
+    """log(1/(1 - t)) - t by ``math.log``, with the cancellation that
+    ``_log1m_tail`` avoids (the thm5 case-2 rows keep its bits); t a float
+    or an array of any shape, each of whose elements gets the bits of a
+    scalar call."""
+    if type(t) is ndarray:
+        out = [math.log(1.0 / (1.0 - v)) - v for v in t.ravel().tolist()]
+        return np.array(out).reshape(t.shape)
+    return math.log(1.0 / (1.0 - t)) - t
 
 
 def _pow(v, k: int):
@@ -182,11 +197,11 @@ def sign_changes(
 
 
 def golden_max(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
+    f: Callable,
+    lo,
+    hi,
     tol: float = 1e-10,
-) -> Tuple[float, float]:
+) -> Tuple:
     """Golden-section maximization of a unimodal f on [lo, hi].
 
     Returns ``(argmax, value)``.  Unimodality is the caller's responsibility;
@@ -194,7 +209,17 @@ def golden_max(
     On non-unimodal input the result is a local maximizer, which callers
     guard against with a grid pre-scan.  The search also stops once the
     bracket is too narrow in floats for two distinct interior points.
+
+    lo and hi are floats, or arrays (one bracket per element, broadcast
+    together).  An array bracket runs one search per element in lockstep
+    (Kiefer 1953): f takes an array of points, one per element, and each
+    element stops on its own test, so element k returns the bits of the
+    float call on bracket k, as long as f gives each element the bits of
+    its float call.  A stopped element keeps its bracket; f still sees a
+    point inside it, whose value is dropped.
     """
+    if type(lo) is ndarray or type(hi) is ndarray:
+        return _golden_max_lockstep(f, lo, hi, tol)
     if not lo < hi:
         raise ValueError("need lo < hi")
     if not (math.isfinite(tol) and tol > 0.0):
@@ -215,6 +240,99 @@ def golden_max(
             fd = f(d)
     arg = 0.5 * (a + b)
     return arg, f(arg)
+
+
+def _golden_max_lockstep(
+    f: Callable[[ndarray], ndarray], lo, hi, tol: float
+) -> Tuple[ndarray, ndarray]:
+    """``golden_max`` on an array bracket: the float path's steps, each
+    element taking its own branch and stopping on its own test, with one
+    call of f per step for the whole array."""
+    a, b = (np.asarray(v, dtype=np.float64) for v in np.broadcast_arrays(lo, hi))
+    if not np.all(a < b):
+        raise ValueError("need lo < hi")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and positive")
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = f(c)
+    fd = f(d)
+    live = np.ones(a.shape, dtype=bool)
+    while True:
+        live &= ((b - a) > tol) & (a < c) & (c < d) & (d < b)
+        if not live.any():
+            break
+        g = fc > fd  # the float path's `if`: keep [a, d]; else keep [c, b]
+        b = np.where(live & g, d, b)
+        a = np.where(live & ~g, c, a)
+        w = _INVPHI * (b - a)
+        x = np.where(g, b - w, a + w)
+        fx = f(x)
+        c, d = np.where(g, x, d), np.where(g, c, x)
+        fc, fd = np.where(g, fx, fd), np.where(g, fc, fx)
+    arg = 0.5 * (a + b)
+    return arg, f(arg)
+
+
+def _refined_max(form: Callable, lo: float, hi: float, *params):
+    """Golden-section maximum of form(a, *params) over a in [lo, hi] as
+    (argmax, value), the value raised to a 200-point pre-scan's maximum
+    where golden falls short; form takes a float or an array a.
+
+    The params are floats, or arrays with one element per search: the
+    searches then run in lockstep and give arrays, and the pre-scans run
+    one search at a time."""
+    nodes = np.linspace(lo, hi, 200)
+    if type(params[0]) is not ndarray:
+        pre = float(np.max(form(nodes, *params)))
+        arg, val = golden_max(lambda a: form(a, *params), lo, hi, tol=1e-12)
+        return arg, max(val, pre)
+    each = zip(*(p.tolist() for p in params))
+    pre = np.array([float(np.max(form(nodes, *p))) for p in each])
+    arg, val = golden_max(
+        lambda a: form(a, *params),
+        np.full(pre.shape, lo),
+        np.full(pre.shape, hi),
+        tol=1e-12,
+    )
+    return arg, np.where(pre > val, pre, val)
+
+
+def _grid_refined_max(form: Callable, xs: ndarray, p):
+    """Largest of form(x, p) over the grid xs as (value, argmax), refined by
+    a golden-section search between the nodes either side of the first
+    largest one, whose result wins only where it is larger; form takes a
+    float or an array x.
+
+    p is a float, or an array with one element per search for arrays of
+    both: each grid is still evaluated in one call per element, and the
+    searches run in lockstep."""
+    if type(p) is not ndarray:
+        best, at, lo, hi = _grid_peak(form(xs, p), xs)
+        if lo < hi:
+            arg, val = golden_max(lambda x: form(x, p), lo, hi, tol=1e-12)
+            if val > best:
+                return val, arg
+        return best, at
+    peaks = [_grid_peak(form(xs, pk), xs) for pk in p.tolist()]
+    best, at, lo, hi = (np.array(column) for column in zip(*peaks))
+    refine = np.flatnonzero(lo < hi)
+    if refine.size:
+        ps = p[refine]
+        arg, val = golden_max(
+            lambda x: form(x, ps), lo[refine], hi[refine], tol=1e-12
+        )
+        better = val > best[refine]
+        best[refine[better]] = val[better]
+        at[refine[better]] = arg[better]
+    return best, at
+
+
+def _grid_peak(vals: ndarray, xs: ndarray):
+    """The first largest grid value and its node, as floats, and the nodes
+    on either side of it (the node itself at a grid end)."""
+    i = int(np.argmax(vals))
+    return float(vals[i]), float(xs[i]), xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
 
 
 def trapezoid(

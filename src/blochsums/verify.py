@@ -60,11 +60,13 @@ from .families import (
     x_of_a,
 )
 from .numerics import (
+    _grid_refined_max,
     _log1m_tail,
+    _log1m_tail_direct,
     _pow,
+    _refined_max,
     _trapezoid_sum,
     bisect,
-    golden_max,
     sign_changes,
 )
 from .series import (
@@ -449,7 +451,15 @@ def _pair(
 def _prefixed(prefix: str, rows: Sequence[BoundEvaluation]) -> List[BoundEvaluation]:
     """Rows with ``prefix/`` put in front of each instance id."""
     return [
-        dataclasses.replace(i, instance_id=f"{prefix}/{i.instance_id}") for i in rows
+        BoundEvaluation(
+            i.bound_id,
+            f"{prefix}/{i.instance_id}",
+            i.params,
+            i.lhs,
+            i.rhs,
+            i.tail_certificate,
+        )
+        for i in rows
     ]
 
 
@@ -480,40 +490,15 @@ def _grid_max(
     )
 
 
-def _refined_max(
-    f: Callable[[float], float], lo: float, hi: float
-) -> Tuple[float, float]:
-    """Golden-section maximum of f on [lo, hi] as (argmax, value), the value
-    raised to a 200-point pre-scan's maximum where golden falls short; f
-    takes a float or an array."""
-    pre = f(np.linspace(lo, hi, 200))
-    arg, val = golden_max(f, lo, hi, tol=1e-12)
-    return arg, max(val, float(np.max(pre)))
-
-
 # ---------------------------------------------------------------------------
 # the boundary-family closed forms, ungated (family functional for any x r < 1)
 
 
-def _family_peak(
-    functional: Callable[[float, float], float],
-    r: float,
-    grid: ScanGrid,
-) -> Tuple[float, float]:
-    """Maximum of a family functional over the x grid, golden-refined.
-
-    The grid is evaluated in one array call, which gives the bits of the
-    per-point scalar calls; the golden refinement calls it with floats."""
-    xs = grid.x_grid()
-    vals = functional(xs, r)
-    i = int(np.argmax(vals))
-    lo = xs[max(i - 1, 0)]
-    hi = xs[min(i + 1, xs.size - 1)]
-    if lo < hi:
-        arg, val = golden_max(lambda x: functional(x, r), lo, hi, tol=1e-12)
-        if val > vals[i]:
-            return val, arg
-    return float(vals[i]), float(xs[i])
+def _family_peak(functional: Callable, r, grid: ScanGrid):
+    """Maximum of a family functional over the x grid, golden-refined, as
+    (value, argmax); r a float, or an array of radii for arrays of both,
+    whose golden searches run in lockstep (see ``_grid_refined_max``)."""
+    return _grid_refined_max(functional, grid.x_grid(), r)
 
 
 def _thm5_family_lhs(x, r: float):
@@ -830,26 +815,45 @@ def case1_poly_coeffs(r: float = R_THM5) -> np.ndarray:
     )
 
 
-def _thm5_case2_lhs(a, r: float):
+def _thm5_case2_lhs(a, r, log_term=None):
     """Case-2 product bound of thm5 for the first coefficient a (a float or
-    an array): (1 - a^2)(a^2 r^2 + ((9 - 4a^2)^2 / 12)(log(1/(1-r^2)) - r^2))."""
+    an array): (1 - a^2)(a^2 r^2 + ((9 - 4a^2)^2 / 12)(log(1/(1-r^2)) - r^2)).
+    A search passes the last factor, ``_log1m_tail_direct(r^2)``, as
+    ``log_term``, computed once per radius."""
     r2 = r * r
-    log_term = math.log(1.0 / (1.0 - r2)) - r2
+    if log_term is None:
+        log_term = _log1m_tail_direct(r2)
     q2 = _pow(9.0 - 4.0 * a * a, 2)
     return (1.0 - a * a) * (a * a * r2 + (q2 / 12.0) * log_term)
 
 
-def _thm5_case3_lhs(a, r: float):
+def _thm5_case3_lhs(a, r):
     """Case-3 product (1 - a^2)(a^2 r^2 + (27/8) r^4); a a float or an array."""
     r2 = r * r
     return (1.0 - a * a) * (a * a * r2 + 27.0 * r2 * r2 / 8.0)
 
 
+def _thm5_searches(r, grid: ScanGrid):
+    """The three golden-section searches of the thm5 replay at radius r, a
+    float or an array of radii (searched in lockstep): the case-2 and case-3
+    maxima as (argmax, value) and the ring/lower family peak as (value,
+    argmax)."""
+    return (
+        _refined_max(_thm5_case2_lhs, 0.6, 0.75, r, _log1m_tail_direct(r * r)),
+        _refined_max(_thm5_case3_lhs, 0.75, 1.0, r),
+        _family_peak(_thm5_family_lhs, r, grid),
+    )
+
+
 def _thm5_rows(
-    grid: ScanGrid, r: float, x_case: float, upper: Tuple[float, float]
+    r: float,
+    x_case: float,
+    upper: Tuple[float, float],
+    searches: Sequence[Tuple[float, float]],
 ) -> List[BoundEvaluation]:
     """The three-case proof of the product bound replayed at radius r, given
-    x_case = x_of_a(3/5) and the family peak at R_HI as (value, argmax).
+    x_case = x_of_a(3/5), the family peak at R_HI as (value, argmax) and the
+    results of ``_thm5_searches`` at r.
 
     Case 1 (a <= 3/5, family bound): the comparison polynomial's sign, the
     interval chain and the printed decimals.  Case 2 (logarithmic bound):
@@ -857,6 +861,7 @@ def _thm5_rows(
     rows pin the bound at both boundary radii (the maximum principle)."""
     r2 = r * r
     rhs = 27.0 * r2 * r2 / 8.0
+    (arg2, best2), (arg3, best3), (peak_lo, x_lo) = searches
     instances: List[BoundEvaluation] = []
 
     # Case 1: the hypothesis a <= 3/5 confines x below 1/4, where the
@@ -894,7 +899,6 @@ def _thm5_rows(
             )
 
     # Case 2: logarithmic envelope on 3/5 <= a <= 3/4.
-    arg2, best2 = _refined_max(lambda a: _thm5_case2_lhs(a, r), 0.6, 0.75)
     instances.append(
         BoundEvaluation("thm5", "case2/max_value", {"r": r, "a": arg2}, best2, rhs)
     )
@@ -909,13 +913,11 @@ def _thm5_rows(
     )
 
     # Case 3: direct maximization on 3/4 <= a <= 1.
-    arg3, best3 = _refined_max(lambda a: _thm5_case3_lhs(a, r), 0.75, 1.0)
     instances.append(
         BoundEvaluation("thm5", "case3/max_value", {"r": r, "a": arg3}, best3, rhs)
     )
 
     # Ring instances: the inequality over the whole family at both ends.
-    peak_lo, x_lo = _family_peak(_thm5_family_lhs, r, grid)
     instances.append(
         BoundEvaluation("thm5", "ring/lower", {"r": r, "x": x_lo}, peak_lo, rhs)
     )
@@ -952,6 +954,10 @@ def sharpness_scan(bound_id: str, r: float, grid: ScanGrid) -> BoundEvaluation:
     the class at every radius below 1.
     """
     peak, arg = _family_peak(_scan_functional(bound_id, r), r, grid)
+    return _scan_row(bound_id, r, peak, arg)
+
+
+def _scan_row(bound_id: str, r: float, peak: float, arg: float) -> BoundEvaluation:
     rhs = bounds._thm_rhs_raw(bound_id, r)
     return BoundEvaluation(bound_id, f"scan/r={r:.8f}", {"r": r, "x": arg}, peak, rhs)
 
@@ -1217,10 +1223,17 @@ def _suite_thm5(grid: ScanGrid) -> List[BoundEvaluation]:
     x_case = x_of_a(0.6)
     upper = _family_peak(_thm5_family_lhs, R_HI, grid)
     if grid.r_values is None:
-        return _thm5_rows(grid, R_THM5, x_case, upper)
+        return _thm5_rows(R_THM5, x_case, upper, _thm5_searches(R_THM5, grid))
+    # One lockstep search per case over all radii; the rows, one radius at
+    # a time.
+    found = [
+        [column.tolist() for column in pair]
+        for pair in _thm5_searches(np.array(grid.r_values), grid)
+    ]
     instances: List[BoundEvaluation] = []
-    for r in grid.r_values:
-        instances += _prefixed(f"r={r:.6f}", _thm5_rows(grid, r, x_case, upper))
+    for k, r in enumerate(grid.r_values):
+        searches = [(u[k], v[k]) for u, v in found]
+        instances += _prefixed(f"r={r:.6f}", _thm5_rows(r, x_case, upper, searches))
     return instances
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochsums import bisect, golden_max, remark6_poly, sign_changes, trapezoid
-from blochsums.numerics import _log1m_tail, _pow
+from blochsums.numerics import _log1m_tail, _log1m_tail_direct, _pow
 
 
 def log1m_tail_50_digits(t: Decimal) -> Decimal:
@@ -126,6 +126,64 @@ class TestGoldenMax:
         assert abs(arg - 0.3) <= 1e-15
         assert val == f(arg)
 
+    # Array brackets (lo, hi) with the peak p of q * -(x - p)^2 + s * x:
+    # interior maxima near 1e-3, where the float spacing lies far below
+    # 1e-17; interior maxima near 0.3 and 0.7, where it lies above; monotone
+    # rises and falls; and brackets one or two floats wide, which stop
+    # before the first step.
+    BRACKETS = [
+        (0.0, 0.002, 0.001, 1.0, 0.0),
+        (0.0009, 0.0011, 0.00100003, 1.0, 0.0),
+        (0.0, 1.0, 0.3, 1.0, 0.0),
+        (0.25, 0.35, 0.3, 1.0, 0.0),
+        (-2.0, 3.0, 0.7, 1.0, 0.0),
+        (0.0, 1.0, 0.0, 0.0, 1.0),
+        (0.5, 0.6, 0.0, 0.0, 1.0),
+        (0.2, 0.9, 0.0, 0.0, -1.0),
+        (0.001, float(np.nextafter(0.001, 1.0)), 0.001, 1.0, 0.0),
+        (0.3, float(np.nextafter(np.nextafter(0.3, 1.0), 1.0)), 0.3, 1.0, 0.0),
+    ]
+
+    @staticmethod
+    def mixed(p, q, s):
+        return lambda x: q * -((x - p) * (x - p)) + s * x
+
+    @pytest.mark.parametrize("tol", [1e-17, 1e-12, 1e-3])
+    def test_array_bracket_has_the_bits_of_float_calls(self, tol):
+        # At tol 1e-17 the brackets near 1e-3 stop on their width and those
+        # near 0.3 and 0.7 once a < c < d < b fails, at different steps.
+        assert 10 * np.spacing(0.0011) < 1e-17 < np.spacing(0.3)
+        lo, hi, p, q, s = (np.array(column) for column in zip(*self.BRACKETS))
+        arg, val = golden_max(self.mixed(p, q, s), lo, hi, tol=tol)
+        want = [
+            golden_max(self.mixed(*params), lo_k, hi_k, tol=tol)
+            for lo_k, hi_k, *params in self.BRACKETS
+        ]
+        want_arg, want_val = (np.array(column) for column in zip(*want))
+        assert np.array_equal(arg.view(np.uint64), want_arg.view(np.uint64))
+        assert np.array_equal(val.view(np.uint64), want_val.view(np.uint64))
+
+    @pytest.mark.parametrize(
+        "lo, hi, tol",
+        [
+            ([0.0, 0.5], [1.0, 0.5], 1e-10),
+            ([0.0, 0.6], [1.0, 0.5], 1e-10),
+            ([0.0, math.nan], [1.0, 1.0], 1e-10),
+            ([0.0, 0.2], [1.0, 1.0], math.nan),
+            ([0.0, 0.2], [1.0, 1.0], 0.0),
+        ],
+    )
+    def test_array_bracket_raises_the_float_error(self, lo, hi, tol):
+        def never(x):
+            raise AssertionError("f was called on an invalid bracket")
+
+        k = next((k for k in range(len(lo)) if not lo[k] < hi[k]), 0)
+        with pytest.raises(ValueError) as scalar:
+            golden_max(never, lo[k], hi[k], tol=tol)
+        with pytest.raises(ValueError) as array:
+            golden_max(never, np.array(lo), np.array(hi), tol=tol)
+        assert str(array.value) == str(scalar.value)
+
 
 class TestTrapezoid:
     def test_cubic_exactness_scaling(self):
@@ -179,12 +237,14 @@ class TestLog1mTail:
 
 @pytest.mark.parametrize(
     "helper",
-    [_log1m_tail] + [lambda v, k=k: _pow(v, k) for k in (2, 4, 5, 282)],
-    ids=["log1m_tail", "pow2", "pow4", "pow5", "pow282"],
+    [_log1m_tail, _log1m_tail_direct]
+    + [lambda v, k=k: _pow(v, k) for k in (2, 4, 5, 282)],
+    ids=["log1m_tail", "log1m_tail_direct", "pow2", "pow4", "pow5", "pow282"],
 )
 def test_array_has_the_bits_of_float_and_numpy_scalar_calls(helper):
-    # The closed forms take a radius or a grid through these two helpers;
-    # NumPy's vector ``**`` and ``np.log1p`` round some elements differently.
+    # The closed forms take a radius or a grid through these helpers; NumPy's
+    # vector ``**``, ``np.log1p`` and ``np.log`` round some elements
+    # differently.
     # ``_log1m_tail`` switches from its series to log1p at t = 0.01.
     rng = np.random.default_rng(2022)
     cut = [0.0, 0.01, np.nextafter(0.01, 0.0), np.nextafter(0.01, 1.0)]

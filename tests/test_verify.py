@@ -50,6 +50,7 @@ from blochsums.verify import (
     _thm5_case3_lhs,
     _thm5_family_lhs,
     _thm5_rows,
+    _thm5_searches,
     case1_poly_coeffs,
 )
 
@@ -498,22 +499,29 @@ class TestFamilyGridOracles:
         grid = ScanGrid(x_range=x_range)
         functional = _FAMILY_LHS[bound_id]
         ends = (float(grid.x_grid()[0]), float(grid.x_grid()[-1]))
+        radii = np.linspace(0.001, 0.999, 300)
+        want = [_family_peak_oracle(functional, r, grid) for r in radii.tolist()]
         unrefined_ends = 0
-        for r in np.linspace(0.001, 0.999, 300).tolist():
+        for r, w in zip(radii.tolist(), want):
             got = _family_peak(functional, r, grid)
-            want = _family_peak_oracle(functional, r, grid)
-            assert np.array_equal(_bits(*got), _bits(*want)), r
+            assert np.array_equal(_bits(*got), _bits(*w)), r
             unrefined_ends += got[1] in ends
         # Peaks at a grid end that golden search does not improve return the
         # grid value itself; the radii must cover that branch too.
         assert unrefined_ends > 0
+        # One call over all 300 radii, its golden searches run in lockstep.
+        peaks, args = _family_peak(functional, radii, grid)
+        assert np.array_equal(_bits(*peaks), _bits(*[w[0] for w in want]))
+        assert np.array_equal(_bits(*args), _bits(*[w[1] for w in want]))
 
     def test_thm5_case_rows_match_oracle(self, default_grid):
         grid_wins = {"case2": 0, "case3": 0}
         for r in (0.05, 0.2, R_THM5, 0.37, 0.38, 0.5, R_HI):
             rows = {
                 i.instance_id: i
-                for i in _thm5_rows(default_grid, r, x_of_a(0.6), (1.0, 0.1))
+                for i in _thm5_rows(
+                    r, x_of_a(0.6), (1.0, 0.1), _thm5_searches(r, default_grid)
+                )
             }
             rhs = 27.0 * (r * r) * (r * r) / 8.0
             xs = np.linspace(X_GUARD, min(0.25, r_admissible(r) - 1e-9), 400)
@@ -536,6 +544,40 @@ class TestFamilyGridOracles:
                 grid_wins[case] += float(np.max(pre)) > val
         # The grid maximum, not the golden one, sets both rows at some radii.
         assert min(grid_wins.values()) > 0
+
+    def test_thm5_r_values_rows_equal_the_per_radius_rows(self, default_grid):
+        # The replay at many radii runs each search once, in lockstep over
+        # all radii; each radius must get the rows of its own float search,
+        # also where the pre-scan, not golden, sets the case maxima.
+        radii = (0.05, 0.2, R_THM5, 0.37, 0.371, 0.375, 0.38, 0.5, R_HI)
+        grid = dataclasses.replace(default_grid, r_values=radii)
+        got = run_suite("thm5", grid).instances
+        upper = _family_peak(_thm5_family_lhs, R_HI, grid)
+        want = []
+        grid_wins = {"case2": 0, "case3": 0}
+        for r in radii:
+            searches = _thm5_searches(r, grid)
+            rows = _thm5_rows(r, x_of_a(0.6), upper, searches)
+            want += [
+                dataclasses.replace(i, instance_id=f"r={r:.6f}/{i.instance_id}")
+                for i in rows
+            ]
+            for case, (lo, hi, form), (_, best) in zip(
+                grid_wins,
+                ((0.6, 0.75, _thm5_case2_lhs), (0.75, 1.0, _thm5_case3_lhs)),
+                searches,
+            ):
+                _, val = golden_max(lambda a: form(a, r), lo, hi, tol=1e-12)
+                grid_wins[case] += best > val
+        assert min(grid_wins.values()) > 0
+        assert [i.instance_id for i in got] == [i.instance_id for i in want]
+
+        def fields(i):
+            return _bits(i.lhs, i.rhs, i.slack, i.tail_certificate, *i.params.values())
+
+        for g, w in zip(got, want):
+            assert list(g.params) == list(w.params), g.instance_id
+            assert np.array_equal(fields(g), fields(w)), g.instance_id
 
     def test_cor2_h_grid_matches_oracle(self):
         (row,) = [i for i in _cor2_rows() if i.instance_id == "h_grid"]
@@ -636,7 +678,48 @@ class TestScalarLoopOracles:
 
 
 class TestNoPerPointLoops:
-    """Structural guards, with no timing: the grids above stay array calls."""
+    """Structural guards, with no timing: the grids above stay array calls,
+    and the golden searches over many radii one lockstep search."""
+
+    @staticmethod
+    def count_golden(monkeypatch):
+        calls = {"array": 0, "float": 0}
+
+        def counted(f, lo, hi, tol=1e-10):
+            calls["array" if type(lo) is np.ndarray else "float"] += 1
+            return golden_max(f, lo, hi, tol)
+
+        monkeypatch.setattr(numerics, "golden_max", counted)
+        return calls
+
+    def test_thm5_replay_searches_all_radii_at_once(self, monkeypatch):
+        calls = self.count_golden(monkeypatch)
+        radii = tuple(np.linspace(R_THM5, 0.38, 50).tolist())
+        run_suite("thm5", ScanGrid(r_values=radii))
+        # case 2, case 3 and the ring/lower peak over all radii, and the
+        # ring/upper peak at 1/sqrt(3); a search per radius and case made 151.
+        assert calls == {"array": 3, "float": 1}
+
+    def test_scan_finds_its_rows_in_one_array_search(self, monkeypatch, capsys):
+        from blochsums import cli
+
+        calls = self.count_golden(monkeypatch)
+        crossings = []
+
+        def crossing(*args, **kwargs):
+            crossings.append(crossing_radius(*args, **kwargs))
+            return crossings[-1]
+
+        monkeypatch.setattr(cli, "crossing_radius", crossing)
+        argv = ["scan", "--target", "problem1", "--grid", "0.37:0.42:101"]
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("0.") for line in out) == 101
+        # The 101 rows take one search; the bisection between the two radii
+        # around the crossing takes one float search per slack it evaluates:
+        # both ends, one per step and the residual at the root.
+        (result,) = crossings
+        assert calls == {"array": 1, "float": result.iterations + 3}
 
     def test_thm1_B2_values_each_trapezoid_in_one_call(self, monkeypatch, light_grid):
         raw = bounds._thm1_B_raw
