@@ -33,11 +33,9 @@ from .families import (
     X_SUP,
     a_of_x,
     b2_max,
-    bloch_membership_scan,
     f_n_prime,
     g_prime_coeffs,
     h_series,
-    rational_expand_g,
     x_of_a,
 )
 from .numerics import RootResult, bisect, golden_max, sign_changes, trapezoid
@@ -78,10 +76,8 @@ __all__ = [
     "b2_max",
     "x_of_a",
     "g_prime_coeffs",
-    "rational_expand_g",
     "f_n_prime",
     "h_series",
-    "bloch_membership_scan",
     # bounds
     "BoundEvaluation",
     "bound_basic",

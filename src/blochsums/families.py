@@ -15,10 +15,9 @@ first two coefficient moduli
     a(x)      = (3 sqrt(3)/2) x (1 - x^2)        (= |b_1|, increasing in x)
     b2max(x)  = (3 sqrt(3)/4) (1 - 3 x^2)(1 - x^2)  (= extremal |b_2|).
 
-Membership of a series in the class {|F'(z)| <= 1/(1-|z|^2)} can be probed
-numerically on a polar grid; that scan is a necessary-condition check only
-and is never used to claim membership (test functions are instead built by
-Schwarz composition, which preserves membership by construction).
+Nothing here probes membership in the class {|F'(z)| <= 1/(1-|z|^2)}
+numerically: the sampled test functions are built by Schwarz composition,
+which preserves membership by construction.
 """
 
 from __future__ import annotations
@@ -36,10 +35,8 @@ __all__ = [
     "b2_max",
     "x_of_a",
     "g_prime_coeffs",
-    "rational_expand_g",
     "f_n_prime",
     "h_series",
-    "bloch_membership_scan",
 ]
 
 X_SUP = R_HI  # the parameter interval ends where the radius interval does
@@ -124,26 +121,6 @@ def g_prime_coeffs(x: float, n: int) -> CoefficientSeries:
     return CoefficientSeries(out, KIND_DERIVATIVE)
 
 
-def rational_expand_g(x: float, n: int) -> CoefficientSeries:
-    """Independent expansion of -(a/x)(z - x)/(1 - z x)^3 via binomial series.
-
-    (1 - x z)^(-3) = sum of C(k+2, 2) x^k z^k; multiplying by -(a/x)(z - x)
-    gives entry j = (a/x) (x c_j - c_{j-1}) with c_j the binomial weights.
-    Serves as the cross-validation oracle for ``g_prime_coeffs``.
-    """
-    if n < 1:
-        raise ValueError("truncation order must be at least 1")
-    xc = _clamp_x(x)
-    a = a_of_x(xc)
-    j = np.arange(n + 1, dtype=np.float64)
-    binom = (j + 2.0) * (j + 1.0) / 2.0  # C(j+2, 2)
-    c = binom * xc**j
-    out = np.zeros(n + 1, dtype=np.complex128)
-    out[0] = a * c[0]
-    out[1:] = (a / xc) * (xc * c[1:] - c[:-1])
-    return CoefficientSeries(out, KIND_DERIVATIVE)
-
-
 def f_n_prime(n: int) -> CoefficientSeries:
     """Monomial family derivative: ((n+2)/2) ((n+2)/n)^(n/2) z^n.
 
@@ -176,27 +153,3 @@ def h_series(a: float, n: int) -> CoefficientSeries:
     ratio = -2.0 * a / 3.0
     out[1:] = lead * ratio ** np.arange(n, dtype=np.float64)
     return CoefficientSeries(out, KIND_DERIVATIVE)
-
-
-def bloch_membership_scan(
-    s: CoefficientSeries,
-    r_nodes: int = 64,
-    theta_nodes: int = 128,
-) -> float:
-    """Grid maximum of (1 - r^2) |s(r e^{i theta})| over the disc.
-
-    A value at most 1, plus a slack the caller picks, is consistent with
-    membership in the class {|F'| <= 1/(1 - |z|^2)}.  Necessary-condition
-    check only: a truncated series understates the true function, so the
-    scan can never prove membership, only flag clear violations.
-    """
-    if s.kind != KIND_DERIVATIVE:
-        raise ValueError("membership scan expects a derivative-kind series")
-    if r_nodes < 8 or theta_nodes < 8:
-        raise ValueError("need at least 8 nodes in each direction")
-    radii = np.linspace(0.0, 0.999, r_nodes)
-    theta = 2.0 * np.pi * np.arange(theta_nodes) / theta_nodes
-    z = radii[:, None] * np.exp(1j * theta)[None, :]
-    vals = np.abs(s.evaluate(z))
-    weighted = (1.0 - radii * radii)[:, None] * vals
-    return float(np.max(weighted))

@@ -3,9 +3,9 @@ golden-section maximizer, and composite trapezoid quadrature.  The private
 helpers ``_pow``, ``_log1m_tail`` and ``_log1m_tail_direct`` take a float or
 an array, so that a closed form written once takes a radius or a whole grid
 in one call.  In the same way ``golden_max`` takes a float bracket or an
-array of brackets, whose searches run in lockstep, and so do its two refined
-forms, ``_refined_max`` (a pre-scan, then golden over the whole bracket) and
-``_grid_refined_max`` (a grid, then golden around its largest node).  The
+array of brackets, whose searches run in lockstep, and so does its refined
+form ``_grid_refined_max`` (a grid, then golden around its largest node),
+the one way the package takes a maximum over an interval.  The
 trapezoid adds its node values left to right in ``_trapezoid_sum``, which
 ``trapezoid`` and callers that evaluate the nodes in one array call share.
 
@@ -274,54 +274,29 @@ def _golden_max_lockstep(
     return arg, f(arg)
 
 
-def _refined_max(form: Callable, lo: float, hi: float, *params):
-    """Golden-section maximum of form(a, *params) over a in [lo, hi] as
-    (argmax, value), the value raised to a 200-point pre-scan's maximum
-    where golden falls short; form takes a float or an array a.
+def _grid_refined_max(form: Callable, xs: ndarray, p, *params):
+    """Largest of form(x, p, *params) over the grid xs as (value, argmax),
+    refined by a golden-section search between the nodes either side of the
+    first largest one, whose result wins only where it is larger; form takes
+    a float or an array x.
 
-    The params are floats, or arrays with one element per search: the
-    searches then run in lockstep and give arrays, and the pre-scans run
-    one search at a time."""
-    nodes = np.linspace(lo, hi, 200)
-    if type(params[0]) is not ndarray:
-        pre = float(np.max(form(nodes, *params)))
-        arg, val = golden_max(lambda a: form(a, *params), lo, hi, tol=1e-12)
-        return arg, max(val, pre)
-    each = zip(*(p.tolist() for p in params))
-    pre = np.array([float(np.max(form(nodes, *p))) for p in each])
-    arg, val = golden_max(
-        lambda a: form(a, *params),
-        np.full(pre.shape, lo),
-        np.full(pre.shape, hi),
-        tol=1e-12,
-    )
-    return arg, np.where(pre > val, pre, val)
-
-
-def _grid_refined_max(form: Callable, xs: ndarray, p):
-    """Largest of form(x, p) over the grid xs as (value, argmax), refined by
-    a golden-section search between the nodes either side of the first
-    largest one, whose result wins only where it is larger; form takes a
-    float or an array x.
-
-    p is a float, or an array with one element per search for arrays of
-    both: each grid is still evaluated in one call per element, and the
-    searches run in lockstep."""
+    p and the params are floats, or arrays with one element per search for
+    arrays of both: each grid is still evaluated in one call per element,
+    and the searches run in lockstep."""
     if type(p) is not ndarray:
-        best, at, lo, hi = _grid_peak(form(xs, p), xs)
+        best, at, lo, hi = _grid_peak(form(xs, p, *params), xs)
         if lo < hi:
-            arg, val = golden_max(lambda x: form(x, p), lo, hi, tol=1e-12)
+            arg, val = golden_max(lambda x: form(x, p, *params), lo, hi, tol=1e-12)
             if val > best:
                 return val, arg
         return best, at
-    peaks = [_grid_peak(form(xs, pk), xs) for pk in p.tolist()]
+    each = zip(*(q.tolist() for q in (p, *params)))
+    peaks = [_grid_peak(form(xs, *pk), xs) for pk in each]
     best, at, lo, hi = (np.array(column) for column in zip(*peaks))
     refine = np.flatnonzero(lo < hi)
     if refine.size:
-        ps = p[refine]
-        arg, val = golden_max(
-            lambda x: form(x, ps), lo[refine], hi[refine], tol=1e-12
-        )
+        ps = [q[refine] for q in (p, *params)]
+        arg, val = golden_max(lambda x: form(x, *ps), lo[refine], hi[refine], tol=1e-12)
         better = val > best[refine]
         best[refine[better]] = val[better]
         at[refine[better]] = arg[better]
@@ -332,7 +307,8 @@ def _grid_peak(vals: ndarray, xs: ndarray):
     """The first largest grid value and its node, as floats, and the nodes
     on either side of it (the node itself at a grid end)."""
     i = int(np.argmax(vals))
-    return float(vals[i]), float(xs[i]), xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+    return float(vals[i]), float(xs[i]), float(lo), float(hi)
 
 
 def trapezoid(

@@ -13,10 +13,11 @@ suite's rows once, under the grid's tolerance, into a VerdictReport:
   membership is guaranteed by construction (composition with a self-map of
   the disc fixing 0), never asserted from a numerical scan.
 
-The sampled machinery rests on two classical facts that are themselves
-property-tested here: coefficient prefix-sum dominance under subordination,
-and the summation-by-parts upgrade from prefix dominance to weighted-sum
-dominance for nonincreasing nonnegative weights.
+The sampled machinery rests on two classical facts: coefficient prefix-sum
+dominance under subordination, which the ``rogosinski`` rows check for each
+sample against its own base, and the summation-by-parts upgrade from prefix
+dominance to weighted-sum dominance for nonincreasing nonnegative weights,
+which the test suite property-tests.
 
 ``run_suite`` is the only judge: every other function here returns rows (or,
 for ``sharpness_scan``, one row) and leaves the verdict to it.
@@ -64,7 +65,6 @@ from .numerics import (
     _log1m_tail,
     _log1m_tail_direct,
     _pow,
-    _refined_max,
     _trapezoid_sum,
     bisect,
     sign_changes,
@@ -367,39 +367,6 @@ def _rogosinski_row(
     <= 0 over n <= n_max, its n recorded under "n"."""
     diff = _prefix_power_sums(f, n_max) - _prefix_power_sums(g, n_max)
     return _grid_max(bound_id, instance_id, params, "n", range(n_max + 1), diff)
-
-
-def _abel_row(
-    bound_id: str,
-    instance_id: str,
-    u: Sequence[float],
-    v: Sequence[float],
-    lam: Sequence[float],
-) -> BoundEvaluation:
-    """Row for sum lam_k u_k <= sum lam_k v_k (u, v may be signed).  Its
-    preconditions, each prefix sum of u at most v's and lam nonincreasing and
-    nonnegative, raise ValueError: invalid input, not a failed row."""
-    ua = np.asarray(u, dtype=np.float64)
-    va = np.asarray(v, dtype=np.float64)
-    la = np.asarray(lam, dtype=np.float64)
-    if not ua.shape == va.shape == la.shape or ua.ndim != 1 or ua.size == 0:
-        raise ValueError("u, v, lam must be nonempty 1-D sequences of equal length")
-    cu = np.cumsum(ua)
-    cv = np.cumsum(va)
-    slop = 1e-12 * (1.0 + np.abs(cv))
-    if np.any(cu > cv + slop):
-        raise ValueError("invalid input: prefix sums of u must be dominated by v")
-    if np.any(la < -1e-15):
-        raise ValueError("invalid input: lam must be nonnegative")
-    if np.any(np.diff(la) > 1e-15 * (1.0 + np.abs(la[:-1]))):
-        raise ValueError("invalid input: lam must be nonincreasing")
-    return BoundEvaluation(
-        bound_id=bound_id,
-        instance_id=instance_id,
-        params={"terms": float(ua.size)},
-        lhs=float(np.dot(la, ua)),
-        rhs=float(np.dot(la, va)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -834,13 +801,15 @@ def _thm5_case3_lhs(a, r):
 
 
 def _thm5_searches(r, grid: ScanGrid):
-    """The three golden-section searches of the thm5 replay at radius r, a
-    float or an array of radii (searched in lockstep): the case-2 and case-3
-    maxima as (argmax, value) and the ring/lower family peak as (value,
-    argmax)."""
+    """The three maxima of the thm5 replay at radius r, a float or an array
+    of radii (searched in lockstep), each as (value, argmax): the case-2
+    envelope over a in [3/5, 3/4], the case-3 one over [3/4, 1] (each on 200
+    nodes, golden-refined) and the ring/lower family peak."""
     return (
-        _refined_max(_thm5_case2_lhs, 0.6, 0.75, r, _log1m_tail_direct(r * r)),
-        _refined_max(_thm5_case3_lhs, 0.75, 1.0, r),
+        _grid_refined_max(
+            _thm5_case2_lhs, np.linspace(0.6, 0.75, 200), r, _log1m_tail_direct(r * r)
+        ),
+        _grid_refined_max(_thm5_case3_lhs, np.linspace(0.75, 1.0, 200), r),
         _family_peak(_thm5_family_lhs, r, grid),
     )
 
@@ -861,7 +830,7 @@ def _thm5_rows(
     rows pin the bound at both boundary radii (the maximum principle)."""
     r2 = r * r
     rhs = 27.0 * r2 * r2 / 8.0
-    (arg2, best2), (arg3, best3), (peak_lo, x_lo) = searches
+    (best2, arg2), (best3, arg3), (peak_lo, x_lo) = searches
     instances: List[BoundEvaluation] = []
 
     # Case 1: the hypothesis a <= 3/5 confines x below 1/4, where the
@@ -1207,15 +1176,6 @@ def _suite_cor1(grid: ScanGrid) -> List[BoundEvaluation]:
         instances.append(
             _rogosinski_row("cor1", f"rogosinski{i:02d}", {"a": a}, phi, h, n_max)
         )
-    lam_r = 0.5
-    for t in range(25):
-        m = 12
-        v = rng.uniform(0.0, 1.0, m)
-        d = np.cumsum(rng.uniform(0.0, 0.5, m))
-        u = v - np.diff(np.concatenate(([0.0], d)))
-        k = np.arange(1, m + 1, dtype=np.float64)
-        lam = (3.0 * lam_r * lam_r) ** k / k
-        instances.append(_abel_row("cor1", f"abel/t{t:02d}", u, v, lam))
     return instances
 
 

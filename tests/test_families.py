@@ -11,18 +11,56 @@ from blochsums import (
     X_SUP,
     a_of_x,
     b2_max,
-    bloch_membership_scan,
     f_n_prime,
     g_prime_coeffs,
     h_series,
     integrate_series,
     r_star,
-    rational_expand_g,
     weighted_power_sum,
     x_of_a,
 )
+from blochsums.families import _clamp_x
+from blochsums.series import KIND_DERIVATIVE, CoefficientSeries
 
 SQRT3 = math.sqrt(3.0)
+
+
+def rational_expand_g(x: float, n: int) -> CoefficientSeries:
+    """Independent expansion of -(a/x)(z - x)/(1 - z x)^3 via binomial series.
+
+    (1 - x z)^(-3) = sum of C(k+2, 2) x^k z^k; multiplying by -(a/x)(z - x)
+    gives entry j = (a/x) (x c_j - c_{j-1}) with c_j the binomial weights.
+    Serves as the cross-validation oracle for ``g_prime_coeffs``.
+    """
+    xc = _clamp_x(x)
+    a = a_of_x(xc)
+    j = np.arange(n + 1, dtype=np.float64)
+    binom = (j + 2.0) * (j + 1.0) / 2.0  # C(j+2, 2)
+    c = binom * xc**j
+    out = np.zeros(n + 1, dtype=np.complex128)
+    out[0] = a * c[0]
+    out[1:] = (a / xc) * (xc * c[1:] - c[:-1])
+    return CoefficientSeries(out, KIND_DERIVATIVE)
+
+
+def bloch_membership_scan(
+    s: CoefficientSeries,
+    r_nodes: int = 64,
+    theta_nodes: int = 128,
+) -> float:
+    """Grid maximum of (1 - r^2) |s(r e^{i theta})| over the disc.
+
+    A value at most 1, plus a slack the caller picks, is consistent with
+    membership in the class {|F'| <= 1/(1 - |z|^2)}.  Necessary-condition
+    check only: a truncated series understates the true function, so the
+    scan can never prove membership, only flag clear violations.
+    """
+    radii = np.linspace(0.0, 0.999, r_nodes)
+    theta = 2.0 * np.pi * np.arange(theta_nodes) / theta_nodes
+    z = radii[:, None] * np.exp(1j * theta)[None, :]
+    vals = np.abs(s.evaluate(z))
+    weighted = (1.0 - radii * radii)[:, None] * vals
+    return float(np.max(weighted))
 
 
 class TestBoundaryParametrization:

@@ -12,7 +12,9 @@ A change that moves bytes on purpose regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and the ``git diff`` of ``tests/golden/`` is then its row-level record.
+which first prints every moved row of every case to stderr, in the format
+of the test's failure message; that list and the ``git diff`` of
+``tests/golden/`` are then the change's row-level record.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ CASES: Dict[str, List[str]] = {
     "verify_default": ["verify", "--out", OUT],
     "verify_t48_json": [
         "verify", "--out", OUT, "--truncation", "48", "--format", "json"
+    ],
+    "verify_t8_seed7": [
+        "verify", "--out", OUT, "--truncation", "8", "--seed", "7"
     ],
     "verify_thm5_radii": [
         "verify", "--out", OUT, "--suite", "thm2,thm3,cor2,thm5",
@@ -148,16 +153,28 @@ def moved_rows(name: str, before: str, after: str) -> List[str]:
     return lines
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_outputs_equal_the_golden_files(case):
-    golden = {p.name: p.read_bytes().decode() for p in (GOLDEN / case).iterdir()}
-    got = run_case(case)
+def _golden(case: str) -> Dict[str, str]:
+    """File name -> text of one case's golden files (none for a new case)."""
+    folder = GOLDEN / case
+    if not folder.exists():
+        return {}
+    return {p.name: p.read_bytes().decode() for p in folder.iterdir()}
+
+
+def moved_files(golden: Dict[str, str], got: Dict[str, str]) -> List[str]:
+    """One line per missing or extra file and per moved row and column."""
     moved = [f"{name}: missing" for name in sorted(set(golden) - set(got))]
     extra = sorted(set(got) - set(golden))
     moved += [f"{name}: not in the golden files" for name in extra]
     for name in sorted(set(golden) & set(got)):
         if got[name] != golden[name]:
             moved += moved_rows(name, golden[name], got[name])
+    return moved
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_equal_the_golden_files(case):
+    moved = moved_files(_golden(case), run_case(case))
     if moved:
         made = json.loads(VERSIONS.read_text(encoding="utf-8"))
         note = ""
@@ -171,13 +188,19 @@ def test_versions_file_names_python_and_numpy():
 
 
 def regenerate() -> None:
-    """Rewrite ``tests/golden/`` from the code on the path."""
+    """Rewrite ``tests/golden/`` from the code on the path, after printing
+    each case's moved rows to stderr."""
+    outputs = {case: run_case(case) for case in sorted(CASES)}
+    for case, files in outputs.items():
+        golden = _golden(case)
+        for line in moved_files(golden, files) if golden else ["new case"]:
+            print(f"{case}: {line}", file=sys.stderr)
     if GOLDEN.exists():
         shutil.rmtree(GOLDEN)
-    for case in sorted(CASES):
+    for case, files in outputs.items():
         folder = GOLDEN / case
         folder.mkdir(parents=True)
-        for name, text in run_case(case).items():
+        for name, text in files.items():
             (folder / name).write_bytes(text.encode())
     VERSIONS.write_text(json.dumps(_versions(), indent=2) + "\n", encoding="utf-8")
 

@@ -28,7 +28,6 @@ from blochsums.families import X_GUARD, X_SUP, a_of_x, b2_max, f_n_prime, x_of_a
 from blochsums.numerics import golden_max
 from blochsums.verify import (
     _FAMILY_LHS,
-    _abel_row,
     _cor1_tail_certificate,
     _cor2_h,
     _cor2_reduced,
@@ -53,6 +52,8 @@ from blochsums.verify import (
     _thm5_searches,
     case1_poly_coeffs,
 )
+
+from abel_oracle import _abel_row
 
 # The pass rule's default tolerance, which --tol and run_suite start from.
 TOL = ScanGrid().tolerance
@@ -378,19 +379,31 @@ def _bits(*values):
     return np.array(values, dtype=np.float64).view(np.uint64)
 
 
-def _family_peak_oracle(functional, r, grid):
-    """``_family_peak`` as a loop of scalar calls over the x grid: the array
-    call must give the same bits."""
-    xs = grid.x_grid()
-    vals = np.array([functional(x, r) for x in xs])
+def _peak_oracle(f, xs):
+    """A grid-then-golden maximum as (value, argmax), by scalar calls: f at
+    each node, then a scalar golden search between the first largest node's
+    neighbours, kept only where it is larger.  The array calls must give
+    the same bits."""
+    vals = np.array([f(x) for x in xs])
     i = int(np.argmax(vals))
     lo = xs[max(i - 1, 0)]
     hi = xs[min(i + 1, xs.size - 1)]
     if lo < hi:
-        arg, val = golden_max(lambda x: functional(x, r), lo, hi, tol=1e-12)
+        arg, val = golden_max(f, lo, hi, tol=1e-12)
         if val > vals[i]:
             return val, arg
     return float(vals[i]), float(xs[i])
+
+
+def _family_peak_oracle(functional, r, grid):
+    return _peak_oracle(lambda x: functional(x, r), grid.x_grid())
+
+
+# The thm5 case envelopes, each with its range of a and its 200 nodes.
+_THM5_CASES = {
+    "case2": (_thm5_case2_lhs, np.linspace(0.6, 0.75, 200)),
+    "case3": (_thm5_case3_lhs, np.linspace(0.75, 1.0, 200)),
+}
 
 
 class TestArrayClosedForms:
@@ -505,6 +518,7 @@ class TestFamilyGridOracles:
         for r, w in zip(radii.tolist(), want):
             got = _family_peak(functional, r, grid)
             assert np.array_equal(_bits(*got), _bits(*w)), r
+            assert {type(v) for v in got} == {float}, r
             unrefined_ends += got[1] in ends
         # Peaks at a grid end that golden search does not improve return the
         # grid value itself; the radii must cover that branch too.
@@ -515,6 +529,7 @@ class TestFamilyGridOracles:
         assert np.array_equal(_bits(*args), _bits(*[w[1] for w in want]))
 
     def test_thm5_case_rows_match_oracle(self, default_grid):
+        golden_wins = {"case2": 0, "case3": 0}
         grid_wins = {"case2": 0, "case3": 0}
         for r in (0.05, 0.2, R_THM5, 0.37, 0.38, 0.5, R_HI):
             rows = {
@@ -531,30 +546,32 @@ class TestFamilyGridOracles:
             assert np.array_equal(
                 _bits(row.lhs, row.params["x"]), _bits(dvals[i], xs[i])
             ), r
-            for case, lo, hi, form in (
-                ("case2", 0.6, 0.75, _thm5_case2_lhs),
-                ("case3", 0.75, 1.0, _thm5_case3_lhs),
-            ):
-                pre = np.array([form(a, r) for a in np.linspace(lo, hi, 200)])
-                _, val = golden_max(lambda a: form(a, r), lo, hi, tol=1e-12)
-                best = max(val, float(np.max(pre)))
+            for case, (form, nodes) in _THM5_CASES.items():
+                best, arg = _peak_oracle(lambda a: form(a, r), nodes)
+                row = rows[f"{case}/max_value"]
                 assert np.array_equal(
-                    _bits(rows[f"{case}/max_value"].lhs), _bits(best)
+                    _bits(row.lhs, row.params["a"]), _bits(best, arg)
                 ), (case, r)
-                grid_wins[case] += float(np.max(pre)) > val
-        # The grid maximum, not the golden one, sets both rows at some radii.
+                on_node = arg in nodes.tolist()
+                grid_wins[case] += on_node
+                golden_wins[case] += not on_node
+            argmax = rows["case2/argmax_location"]
+            assert argmax.params["argmax"] == rows["case2/max_value"].params["a"]
+        # The grid node sets both cases' rows at some radii, and golden sets
+        # case 2's at the small radii, where its maximum is interior.
         assert min(grid_wins.values()) > 0
+        assert golden_wins["case2"] > 0
 
     def test_thm5_r_values_rows_equal_the_per_radius_rows(self, default_grid):
         # The replay at many radii runs each search once, in lockstep over
         # all radii; each radius must get the rows of its own float search,
-        # also where the pre-scan, not golden, sets the case maxima.
+        # where the grid node and where golden sets the case maxima.
         radii = (0.05, 0.2, R_THM5, 0.37, 0.371, 0.375, 0.38, 0.5, R_HI)
         grid = dataclasses.replace(default_grid, r_values=radii)
         got = run_suite("thm5", grid).instances
         upper = _family_peak(_thm5_family_lhs, R_HI, grid)
         want = []
-        grid_wins = {"case2": 0, "case3": 0}
+        wins = {"grid": 0, "golden": 0}
         for r in radii:
             searches = _thm5_searches(r, grid)
             rows = _thm5_rows(r, x_of_a(0.6), upper, searches)
@@ -562,14 +579,11 @@ class TestFamilyGridOracles:
                 dataclasses.replace(i, instance_id=f"r={r:.6f}/{i.instance_id}")
                 for i in rows
             ]
-            for case, (lo, hi, form), (_, best) in zip(
-                grid_wins,
-                ((0.6, 0.75, _thm5_case2_lhs), (0.75, 1.0, _thm5_case3_lhs)),
-                searches,
-            ):
-                _, val = golden_max(lambda a: form(a, r), lo, hi, tol=1e-12)
-                grid_wins[case] += best > val
-        assert min(grid_wins.values()) > 0
+            for (form, nodes), found in zip(_THM5_CASES.values(), searches):
+                oracle = _peak_oracle(lambda a: form(a, r), nodes)
+                assert np.array_equal(_bits(*found), _bits(*oracle)), r
+                wins["grid" if oracle[1] in nodes.tolist() else "golden"] += 1
+        assert min(wins.values()) > 0
         assert [i.instance_id for i in got] == [i.instance_id for i in want]
 
         def fields(i):
@@ -578,6 +592,28 @@ class TestFamilyGridOracles:
         for g, w in zip(got, want):
             assert list(g.params) == list(w.params), g.instance_id
             assert np.array_equal(fields(g), fields(w)), g.instance_id
+
+    def test_grid_win_records_the_grid_node(self, default_grid):
+        # At every r >= R the case-2 envelope peaks at a = 3/5 and the
+        # case-3 one at a = 3/4, both grid ends that no golden step beats:
+        # the rows must record those nodes exactly, as plain floats.
+        radii = (R_THM5, 0.37, 0.375, 0.38, 0.5, R_HI)
+        grid = dataclasses.replace(default_grid, r_values=radii)
+        replay = run_suite("thm5", grid).instances
+        default = run_suite("thm5", default_grid).instances
+        nodes = {
+            "case2/argmax_location": ("argmax", 0.6),
+            "case2/max_value": ("a", 0.6),
+            "case3/max_value": ("a", 0.75),
+        }
+        seen = 0
+        for row in default + replay:
+            assert {type(v) for v in row.params.values()} == {float}, row.instance_id
+            for suffix, (key, node) in nodes.items():
+                if row.instance_id.endswith(suffix):
+                    assert row.params[key] == node, row.instance_id
+                    seen += 1
+        assert seen == len(nodes) * (1 + len(radii))
 
     def test_cor2_h_grid_matches_oracle(self):
         (row,) = [i for i in _cor2_rows() if i.instance_id == "h_grid"]
