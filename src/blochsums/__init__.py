@@ -12,6 +12,17 @@ extremal families attaining them in :mod:`.families`, series arithmetic in
 suites in :mod:`.verify`, and the command-line runner in :mod:`.cli`.
 """
 
+import os
+
+# ``import numpy`` starts an OpenBLAS worker thread that busy-waits for about
+# 2^28 cycles before it sleeps (60-70 ms of CPU on a 2-core machine), and no
+# job ever reaches it: the package's only BLAS calls are ``np.convolve``'s
+# short complex dot products, which OpenBLAS runs on the calling thread.
+# OpenBLAS reads the variable when NumPy loads it, so this has no effect when
+# NumPy was imported first, and a value the user has set wins.  The reports
+# are the same bytes under any thread count.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .bounds import (
     R_HI,
     R_THM5,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable, Iterable, List, Tuple
 
 import numpy as np
@@ -83,14 +84,16 @@ def _log1m_tail_direct(t):
 
 
 def _pow(v, k: int):
-    """v ** k through Python's float pow (the C library's pow); v a float or
-    an array of any shape, each of whose elements gets the bits of a scalar
-    call.  NumPy's vector ``**`` may take a SIMD path that rounds some
-    elements differently; + - * / round the same in NumPy and in Python.  The
-    exact type test, not ``isinstance``, keeps a scalar call within a few ns
-    of a bare ``v**k``."""
+    """v ** k through the C library's pow; v a float or an array of any
+    shape, each of whose elements gets the bits of a scalar call: one
+    ``math.pow`` per element, which calls the same pow as Python's float
+    ``**`` and raises OverflowError where it does.  NumPy's vector ``**`` may
+    take a SIMD path that rounds some elements differently; + - * / round the
+    same in NumPy and in Python.  The exact type test, not ``isinstance``,
+    keeps a scalar call within a few ns of a bare ``v**k``."""
     if type(v) is ndarray:
-        return np.array([e**k for e in v.ravel().tolist()]).reshape(v.shape)
+        powers = map(math.pow, v.ravel().tolist(), repeat(float(k)))
+        return np.fromiter(powers, np.float64, v.size).reshape(v.shape)
     return v**k
 
 

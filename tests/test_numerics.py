@@ -235,13 +235,36 @@ class TestLog1mTail:
         assert _log1m_tail(0.0) == 0.0
 
 
+def _pow_edges() -> np.ndarray:
+    """Bases outside the radii's [0, 1): negative, signed zeros, subnormals,
+    and odd 27-bit mantissas m >= 2^26.5, whose squares m^2 have 54 bits and
+    so fall exactly halfway between two doubles (a tie that a product
+    rounds to even), with the neighbours of those bases."""
+    rng = np.random.default_rng(2031)
+    m = 2 * rng.integers(47453133, 2**26, 300) + 1
+    ties = np.ldexp(m.astype(float), -27)
+    near = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, 2.0)])
+    tiny = np.finfo(float).smallest_subnormal
+    subnormals = [tiny, 2.0 * tiny, 3.0 * tiny, np.nextafter(np.finfo(float).tiny, 0.0)]
+    return np.concatenate(
+        [
+            -rng.uniform(0.0, 1.5, 500),
+            [0.0, -0.0],
+            subnormals,
+            np.negative(subnormals),
+            near,
+            -near,
+        ]
+    )
+
+
 @pytest.mark.parametrize(
-    "helper",
-    [_log1m_tail, _log1m_tail_direct]
-    + [lambda v, k=k: _pow(v, k) for k in (2, 4, 5, 282)],
+    "helper, edges",
+    [(_log1m_tail, []), (_log1m_tail_direct, [])]
+    + [(lambda v, k=k: _pow(v, k), _pow_edges()) for k in (2, 4, 5, 282)],
     ids=["log1m_tail", "log1m_tail_direct", "pow2", "pow4", "pow5", "pow282"],
 )
-def test_array_has_the_bits_of_float_and_numpy_scalar_calls(helper):
+def test_array_has_the_bits_of_float_and_numpy_scalar_calls(helper, edges):
     # The closed forms take a radius or a grid through these helpers; NumPy's
     # vector ``**``, ``np.log1p`` and ``np.log`` round some elements
     # differently.
@@ -254,6 +277,7 @@ def test_array_has_the_bits_of_float_and_numpy_scalar_calls(helper):
             np.logspace(-12, -2, 200),
             np.linspace(0.0095, 0.0105, 101),
             cut,
+            edges,
         ]
     )
     got = helper(vs)
@@ -269,3 +293,10 @@ def test_array_has_the_bits_of_float_and_numpy_scalar_calls(helper):
         assert zero_d.view(np.uint64) == np.float64(helper(v)).view(np.uint64), v
     two_d = helper(vs[:5000].reshape(50, 100)).view(np.uint64)
     assert np.array_equal(two_d, got[:5000].reshape(50, 100).view(np.uint64))
+    if len(edges):
+        # A power past the float range raises in the array path as in the
+        # float path, rather than leaving an inf in the grid.
+        with pytest.raises(OverflowError):
+            helper(1e200)
+        with pytest.raises(OverflowError):
+            helper(np.array([0.5, 1e200]))
