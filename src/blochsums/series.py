@@ -15,7 +15,10 @@ the integrand is a trigonometric polynomial.
 
 Tail control: every equality assertion made at a finite truncation order
 carries an explicit majorant for the discarded tail of the boundary-family
-coefficients, provided here as ``tail_majorant_extremal``.
+coefficients, provided here as ``tail_majorant_extremal``.  The private
+``_compose_*`` kernels compose a series with a self-map of the disc, and
+``_class_tail`` and ``_cor1_class_tail`` bound what truncating such a
+composition drops, for every member of the class at once.
 """
 
 from __future__ import annotations
@@ -155,6 +158,56 @@ def circle_mean_square(s: CoefficientSeries, r: float, m: int) -> float:
     return float(np.mean(np.abs(vals) ** 2))
 
 
+def _compose_horner(b: np.ndarray, wc: np.ndarray, n: int) -> np.ndarray:
+    """Truncated Horner recursion for b composed with w (w(0) = 0), over a
+    shrinking window.
+
+    Once b_m is folded in, m more multiplications by w remain, and each
+    raises the valuation by at least one, so only orders 0..n-m of the
+    accumulator can reach the result and terms b_m with m > n never do.
+    Step m convolves the accumulator, padded with one zero to length
+    n-m+1, with wc[:n-m+1] and keeps that many entries.  This gives the
+    full-length recursion's result bit for bit: entry k of ``np.convolve``
+    is one dot product of length k+1 over acc[0..k] and wc[k..0] whatever
+    the input lengths, and the padded entry meets only wc[0] == 0.
+    """
+    if wc[0] != 0.0:
+        raise ValueError("Schwarz coefficients must vanish at the origin")
+    top = min(b.size, n + 1) - 1
+    buf = np.zeros(n + 1, dtype=np.complex128)  # buf[window - 1:] is never written
+    acc = buf[: n - top]
+    for m in range(top, -1, -1):
+        window = n - m + 1
+        buf[: window - 1] = acc
+        acc = np.convolve(buf[:window], wc[:window])[:window]
+        acc[0] += b[m]
+    return acc
+
+
+def _compose_monomial(b: np.ndarray, d: int, n: int) -> np.ndarray:
+    """b composed with z^d: b_j moves to index j d.  Bit-identical to Horner,
+    whose convolutions here only multiply by 1.0 and add exact zeros."""
+    out = np.zeros(n + 1, dtype=np.complex128)
+    m = min(b.size, n // d + 1)
+    out[: m * d : d] = b[:m]
+    return out
+
+
+def _compose_rotation(b: np.ndarray, u: complex, n: int) -> np.ndarray:
+    """b composed with u z: entry k is ((b_k u) u) ... u, the k successive
+    products Horner makes.  Step s multiplies the tail [s:] by u once with
+    Horner's float64 operations; u**k would round differently."""
+    m = min(b.size, n + 1)
+    out = np.zeros(n + 1, dtype=np.complex128)
+    out[:m] = b[:m]
+    re, im = out.real, out.imag
+    ur, ui = u.real, u.imag
+    for s in range(1, m):
+        xr, xi = re[s:m], im[s:m]
+        re[s:m], im[s:m] = xr * ur - xi * ui, xr * ui + xi * ur
+    return out
+
+
 def _geometric_power_tail(m: int, q: float, n: int) -> float:
     """Closed form of sum over k > n of k^m q^k, for 0 <= q < 1 and m <= 4.
 
@@ -207,3 +260,80 @@ def tail_majorant_extremal(x: float, r: float, p: int, n: int) -> float:
     s_p2 = _geometric_power_tail(p + 2, q, n)
     scale = a * a / (4.0 * x**6)
     return scale * (4.0 * x**4 * s_p + 4.0 * x * x * u * s_p1 + u * u * s_p2)
+
+
+def _phi_weighted_functional(phi: CoefficientSeries, r: float) -> float:
+    """The k >= 2 area-sum functional expressed through the dilated series.
+
+    With phi the derivative series rescaled to the radius-1/sqrt(3) frame,
+    the k-th area term equals (3 r^2)^k |phi_{k-1}|^2 / (3 k).
+    """
+    w = 3.0 * r * r
+    j = np.arange(1, phi.coeffs.size, dtype=np.float64)
+    mags = np.abs(phi.coeffs[1:]) ** 2
+    return float(np.sum(mags * w ** (j + 1.0) / (3.0 * (j + 1.0))))
+
+
+def _cor1_tail_certificate(a: float, r: float, n: int) -> float:
+    """Bound on what ``_phi_weighted_functional`` drops from the majorant
+    series truncated at order n.
+
+    With lead = ((9 - 4a^2)/6)^2 and t = 4 a^2 r^2 / 3 (below 4/9 for
+    a < 1 and r <= 1/sqrt(3)), the dropped terms j >= n+1 are
+    lead (3 r^2)^2 t^(j-1) / (3 (j+1)), at most
+    lead (3 r^2)^2 t^n / (3 (n+2) (1-t)) in total.
+    """
+    t = 4.0 * a * a * r * r / 3.0
+    lead = ((9.0 - 4.0 * a * a) / 6.0) ** 2
+    return lead * (3.0 * r * r) ** 2 * t**n / (3.0 * (n + 2) * (1.0 - t))
+
+
+def _class_tail(m, r, p: int):
+    """Bound on what truncating a class member's F' at order m drops from
+    ``weighted_power_sum(F, p, r)``: F's terms k >= m+2.
+
+    Every class member has |F'(z)| <= 1/(1 - |z|^2), so Parseval on the
+    circle of radius sqrt(j/(j+2)), j = m+1, bounds the sum over i >= j of
+    |F'_i|^2 r^(2i) by Prop. 1's ((j+2)^(j+2) / (4 j^j)) r^(2j), here
+    written as ((j+2)^2/4) (1 + 2/j)^j r^(2j), which cannot overflow; it
+    holds for r <= r_j.  The k^2 r^(2k) weight is r^2 times that sum, and
+    the k r^(2k) one at most 1/(m+2) of the k^2 one.  m and r floats or
+    arrays, broadcast; inf where r > r_j.
+    """
+    j = np.asarray(m, dtype=np.float64) + 1.0
+    tail = 0.25 * (j + 2.0) ** 2 * (1.0 + 2.0 / j) ** j * np.power(r, 2.0 * j + 2.0)
+    if p == 1:
+        tail = tail / (j + 1.0)
+    return np.where(np.multiply(r, r) <= j / (j + 2.0), tail, np.inf)
+
+
+def _cor1_class_tail(m, a: float, r: float, degree: int, zeros):
+    """Bound on what truncating phi = H o w at order m drops from
+    ``_phi_weighted_functional(phi, r)``, with H the cor1 majorant of
+    ``h_series(a, .)`` and w(z) = z^degree times the factors
+    (z + c)/(1 + conj(c) z), one per c in ``zeros``.
+
+    Cauchy's estimate on |z| = rho, 1 < rho < 1/max|c|: there
+    |w| <= q = rho^degree prod (rho - |c|)/(1 - |c| rho), so where
+    2 a q/3 < 1, |H(w)| <= M = (3/2)(q + 2a/3)/(1 - 2 a q/3) and
+    |phi_j| <= M rho^(-j).  With u = 3 r^2/rho^2 < 1 the terms j > m add up
+    to at most M^2 3 r^2 u^(m+1) / (3 (m+2) (1-u)).  The least such bound
+    over 64 radii rho, for each order m (an int or an array); inf where no
+    rho applies.
+    """
+    mods = np.abs(np.asarray(zeros, dtype=np.complex128))
+    top = (1.5 / a) ** (1.0 / degree)  # q >= rho^degree reaches 3/(2a) there
+    if mods.size and mods.max() > 0.0:
+        top = min(top, 1.0 / mods.max())
+    rho = 1.0 + (top - 1.0) * np.arange(1, 65)[:, None] / 65.0
+    q = rho**degree
+    for c in mods:
+        q = q * (rho - c) / (1.0 - c * rho)
+    s = 2.0 * a * q / 3.0
+    w = 3.0 * r * r
+    u = w / (rho * rho)
+    m = np.asarray(m, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        m_sq = (1.5 * (q + 2.0 * a / 3.0) / (1.0 - s)) ** 2  # M^2
+    tails = m_sq * w * u ** (m + 1.0) / (3.0 * (m + 2.0) * (1.0 - u))
+    return np.min(np.where(s < 1.0, tails, np.inf), axis=0)

@@ -72,6 +72,13 @@ from .numerics import (
 from .series import (
     KIND_DERIVATIVE,
     CoefficientSeries,
+    _class_tail,
+    _compose_horner,
+    _compose_monomial,
+    _compose_rotation,
+    _cor1_class_tail,
+    _cor1_tail_certificate,
+    _phi_weighted_functional,
     integrate_series,
     tail_majorant_extremal,
     weighted_power_sum,
@@ -111,6 +118,9 @@ ALL_SUITES: Tuple[str, ...] = (
 DEFAULT_TOL = 1e-10
 
 _SCHWARZ_KINDS = ("rotation", "monomial", "blaschke_product")
+
+# The last order a Rogosinski row reads, and the least a sample composes to.
+_N_MAX = 128
 
 # Printed reference decimals for the degree-6 surd-coefficient polynomial
 # (coefficients of x^1 .. x^6) and for the quartic-threshold case-1
@@ -298,54 +308,29 @@ def make_subordinate(
     return CoefficientSeries(coeffs, KIND_DERIVATIVE)
 
 
-def _compose_horner(b: np.ndarray, wc: np.ndarray, n: int) -> np.ndarray:
-    """Truncated Horner recursion for b composed with w (w(0) = 0), over a
-    shrinking window.
+def _compose_read(
+    base: CoefficientSeries, spec: SchwarzSpec, n: int, need: Callable
+) -> CoefficientSeries:
+    """``make_subordinate(base, spec, n)`` with the orders above m set to 0:
+    m is the least order >= _N_MAX at which each row's certified tail is
+    below 2^-60 of its sum, or n if none is (or n <= _N_MAX).
 
-    Once b_m is folded in, m more multiplications by w remain, and each
-    raises the valuation by at least one, so only orders 0..n-m of the
-    accumulator can reach the result and terms b_m with m > n never do.
-    Step m convolves the accumulator, padded with one zero to length
-    n-m+1, with wc[:n-m+1] and keeps that many entries.  This gives the
-    full-length recursion's result bit for bit: entry k of ``np.convolve``
-    is one dot product of length k+1 over acc[0..k] and wc[k..0] whatever
-    the input lengths, and the padded entry meets only wc[0] == 0.
-    """
-    if wc[0] != 0.0:
-        raise ValueError("Schwarz coefficients must vanish at the origin")
-    top = min(b.size, n + 1) - 1
-    buf = np.zeros(n + 1, dtype=np.complex128)  # buf[window - 1:] is never written
-    acc = buf[: n - top]
-    for m in range(top, -1, -1):
-        window = n - m + 1
-        buf[: window - 1] = acc
-        acc = np.convolve(buf[:window], wc[:window])[:window]
-        acc[0] += b[m]
-    return acc
-
-
-def _compose_monomial(b: np.ndarray, d: int, n: int) -> np.ndarray:
-    """b composed with z^d: b_j moves to index j d.  Bit-identical to Horner,
-    whose convolutions here only multiply by 1.0 and add exact zeros."""
-    out = np.zeros(n + 1, dtype=np.complex128)
-    m = min(b.size, n // d + 1)
-    out[: m * d : d] = b[:m]
-    return out
-
-
-def _compose_rotation(b: np.ndarray, u: complex, n: int) -> np.ndarray:
-    """b composed with u z: entry k is ((b_k u) u) ... u, the k successive
-    products Horner makes.  Step s multiplies the tail [s:] by u once with
-    Horner's float64 operations; u**k would round differently."""
-    m = min(b.size, n + 1)
-    out = np.zeros(n + 1, dtype=np.complex128)
-    out[:m] = b[:m]
-    re, im = out.real, out.imag
-    ur, ui = u.real, u.imag
-    for s in range(1, m):
-        xr, xi = re[s:m], im[s:m]
-        re[s:m], im[s:m] = xr * ur - xi * ui, xr * ui + xi * ur
-    return out
+    ``need(comp, orders)`` gives the rows' sums over ``comp``, the order
+    _N_MAX composition (lower bounds: the terms are nonnegative), and
+    their tails beyond each of ``orders``, one row per sum.  Entry k of a
+    composition is the same float computation at every order >= k (see
+    ``_compose_horner``), and the zeros keep the sums' length and so
+    their pairwise blocking: the rows keep their bits."""
+    if n <= _N_MAX:
+        return make_subordinate(base, spec, n)
+    comp = make_subordinate(base, spec, _N_MAX)
+    orders = np.arange(_N_MAX, n)
+    sums, tails = need(comp, orders)
+    read = np.all(tails < 2.0**-60 * np.reshape(sums, (-1, 1)), axis=0)
+    m = int(orders[np.argmax(read)]) if read.any() else n
+    if m > _N_MAX:
+        comp = make_subordinate(base, spec, m)
+    return CoefficientSeries(np.pad(comp.coeffs, (0, n - m)), KIND_DERIVATIVE)
 
 
 def _prefix_power_sums(s: CoefficientSeries, n_max: int) -> np.ndarray:
@@ -513,11 +498,16 @@ def verify_thm1(x: float, r: float, grid: ScanGrid) -> List[BoundEvaluation]:
         lhs = weighted_power_sum(gf, p, r, "r2k")
         instances += _pair(bid, "equality", params, lhs, rhs, tail)
 
+    def need(comp, orders):
+        comp_f = integrate_series(comp, 0.0)
+        sums = [weighted_power_sum(comp_f, p, r, "r2k") for _, p, _, _ in claims]
+        return sums, np.array([_class_tail(orders, r, p) for _, p, _, _ in claims])
+
     rng = np.random.default_rng((grid.seed, int(round(x * 1e6))))
-    n_max = min(128, n)
+    n_max = min(_N_MAX, n)
     for i in range(grid.sample_count):
         spec = _random_schwarz(rng)
-        comp = make_subordinate(g, spec, n)
+        comp = _compose_read(g, spec, n, need)
         comp_f = integrate_series(comp, 0.0)
         sample_params = {"x": x, "r": r, "sample": float(i)}
         for bid, p, rhs, tail in claims:
@@ -1101,32 +1091,6 @@ def _suite_thm2(grid: ScanGrid) -> List[BoundEvaluation]:
     return instances
 
 
-def _phi_weighted_functional(phi: CoefficientSeries, r: float) -> float:
-    """The k >= 2 area-sum functional expressed through the dilated series.
-
-    With phi the derivative series rescaled to the radius-1/sqrt(3) frame,
-    the k-th area term equals (3 r^2)^k |phi_{k-1}|^2 / (3 k).
-    """
-    w = 3.0 * r * r
-    j = np.arange(1, phi.coeffs.size, dtype=np.float64)
-    mags = np.abs(phi.coeffs[1:]) ** 2
-    return float(np.sum(mags * w ** (j + 1.0) / (3.0 * (j + 1.0))))
-
-
-def _cor1_tail_certificate(a: float, r: float, n: int) -> float:
-    """Bound on what ``_phi_weighted_functional`` drops from the majorant
-    series truncated at order n.
-
-    With lead = ((9 - 4a^2)/6)^2 and t = 4 a^2 r^2 / 3 (below 4/9 for
-    a < 1 and r <= 1/sqrt(3)), the dropped terms j >= n+1 are
-    lead (3 r^2)^2 t^(j-1) / (3 (j+1)), at most
-    lead (3 r^2)^2 t^n / (3 (n+2) (1-t)) in total.
-    """
-    t = 4.0 * a * a * r * r / 3.0
-    lead = ((9.0 - 4.0 * a * a) / 6.0) ** 2
-    return lead * (3.0 * r * r) ** 2 * t**n / (3.0 * (n + 2) * (1.0 - t))
-
-
 def _suite_cor1(grid: ScanGrid) -> List[BoundEvaluation]:
     rng = np.random.default_rng((grid.seed, 2))
     n = grid.truncation
@@ -1156,13 +1120,19 @@ def _suite_cor1(grid: ScanGrid) -> List[BoundEvaluation]:
                 1e-6,
             )
         )
-    n_max = min(128, n)
+    n_max = min(_N_MAX, n)
     for i in range(max(5, grid.sample_count // 2)):
         a = float(rng.uniform(0.15, 0.9))
         r = float(rng.uniform(0.1, R_HI))
         h = h_series(a, n)
         spec = _random_schwarz(rng)
-        phi = make_subordinate(h, spec, n)
+        zeros = spec.parameters if spec.kind == "blaschke_product" else ()
+
+        def need(comp, orders):
+            tails = _cor1_class_tail(orders, a, r, spec.degree, zeros)
+            return [_phi_weighted_functional(comp, r)], tails[None]
+
+        phi = _compose_read(h, spec, n, need)
         instances.append(
             BoundEvaluation(
                 "cor1",

@@ -60,6 +60,10 @@ CASES: Dict[str, List[str]] = {
     "verify_t8_seed7": [
         "verify", "--out", OUT, "--truncation", "8", "--seed", "7"
     ],
+    "verify_t384_seed3": [
+        "verify", "--out", OUT, "--truncation", "384", "--seed", "3",
+        "--suite", "prop1,thm1_B,thm1_B2,cor1",
+    ],
     "verify_thm5_radii": [
         "verify", "--out", OUT, "--suite", "thm2,thm3,cor2,thm5",
         "--r-values", _thm5_radii(),

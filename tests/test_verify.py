@@ -26,15 +26,22 @@ from blochsums import bounds, numerics, verify
 from blochsums.bounds import THM2_R_LO, R_HI, r_admissible
 from blochsums.families import X_GUARD, X_SUP, a_of_x, b2_max, f_n_prime, x_of_a
 from blochsums.numerics import golden_max
+from blochsums.series import (
+    _class_tail,
+    _cor1_class_tail,
+    _cor1_tail_certificate,
+    _phi_weighted_functional,
+)
 from blochsums.verify import (
     _FAMILY_LHS,
-    _cor1_tail_certificate,
+    _N_MAX,
+    _THM1_XS,
+    _compose_read,
     _cor2_h,
     _cor2_reduced,
     _cor2_rows,
     _family_peak,
     _grid_max,
-    _phi_weighted_functional,
     _random_bloch_prime,
     _random_schwarz,
     _rogosinski_row,
@@ -184,6 +191,109 @@ class TestCompositionFastPaths:
                     ), (spec, base.order)
                 else:
                     assert np.array_equal(fast, oracle), (spec, base.order)
+
+
+def _zeros(spec):
+    return spec.parameters if spec.kind == "blaschke_product" else ()
+
+
+class TestCertifiedComposition:
+    """The suites compose each sample only to the order m its rows read
+    (``_compose_read``): the result must be the order-n composition's
+    entries 0..m bit for bit, zeros above, and the class-wide tails that
+    choose m must cover what the orders above m add."""
+
+    @staticmethod
+    def read_at(m):
+        # A ``need`` whose tails certify exactly the orders >= m.
+        return lambda comp, orders: ([1.0], np.where(orders >= m, 0.0, np.inf)[None])
+
+    @pytest.mark.parametrize("n", [130, 256, 384])
+    def test_padded_order_m_has_the_bits_of_order_n(self, n):
+        rng = np.random.default_rng(n)
+        bases = [
+            g_prime_coeffs(float(rng.uniform(0.02, 0.55)), n),
+            h_series(float(rng.uniform(0.15, 0.9)), n),
+            f_n_prime(int(rng.integers(1, 7))),
+        ]
+        specs = [
+            SchwarzSpec("rotation", (complex(np.exp(2j * np.pi * rng.uniform())),)),
+            SchwarzSpec("monomial", (), degree=int(rng.integers(1, 5))),
+        ]
+        specs += [
+            SchwarzSpec(
+                "blaschke_product",
+                tuple(complex(z) for z in rng.uniform(-0.6, 0.6, (k, 2)) @ (1, 1j)),
+            )
+            for k in (1, 2, 3)
+        ]
+        for base in bases:
+            for spec in specs:
+                full = make_subordinate(base, spec, n).coeffs
+                for m in (_N_MAX, (_N_MAX + n) // 2, n):
+                    got = _compose_read(base, spec, n, self.read_at(m)).coeffs
+                    assert got.shape == (n + 1,)
+                    assert np.array_equal(
+                        got[: m + 1].view(np.uint64), full[: m + 1].view(np.uint64)
+                    ), (spec, base.order, m)
+                    assert not np.any(got[m + 1 :]), (spec, base.order, m)
+
+    @staticmethod
+    def dropped(terms):
+        """Entry m: the sum of terms above index m (a sum of nonnegatives)."""
+        return np.append(np.cumsum(terms[::-1])[::-1][1:], 0.0)
+
+    def assert_covers(self, tails, terms, n):
+        # Orders 1 .. n-1; the order-512 terms stand in for the whole series.
+        m = np.arange(1, n)
+        truth = self.dropped(terms)[m]
+        assert np.all(tails(m) >= truth * (1.0 + 1e-12)), np.min(tails(m) - truth)
+
+    @pytest.mark.parametrize("n", [160, 256])
+    def test_class_tails_cover_thm1_and_prop1_samples(self, n):
+        rng = np.random.default_rng((n, 1))
+        samples = [(g_prime_coeffs(x, 512), 0.9 * r_admissible(x)) for x in _THM1_XS]
+        radii = [r for k in range(1, 7) for r in np.linspace(0.15, bounds.r_star(k), 5)]
+        samples += [(_random_bloch_prime(rng, 512), r) for r in radii[4::5]]
+        for base, r in samples:
+            for _ in range(3):
+                c = make_subordinate(base, _random_schwarz(rng), 512).coeffs
+                j = np.arange(c.size, dtype=np.float64)
+                square = np.abs(c) ** 2 * r ** (2.0 * j + 2.0)  # k^2 weight, k = j+1
+                for p, terms in ((2, square), (1, square / (j + 1.0))):
+                    self.assert_covers(lambda m: _class_tail(m, r, p), terms, n)
+
+    @pytest.mark.parametrize("n", [160, 256])
+    def test_cor1_tails_cover_cor1_samples(self, n):
+        rng = np.random.default_rng((n, 2))
+        for _ in range(10):
+            a = float(rng.uniform(0.15, 0.9))
+            r = float(rng.uniform(0.1, R_HI))
+            spec = _random_schwarz(rng)
+            c = make_subordinate(h_series(a, 512), spec, 512).coeffs
+            j = np.arange(c.size, dtype=np.float64)
+            w = 3.0 * r * r
+            terms = np.abs(c) ** 2 * w ** (j + 1.0) / (3.0 * (j + 1.0))
+            terms[0] = 0.0  # the functional starts at j = 1
+            self.assert_covers(
+                lambda m: _cor1_class_tail(m, a, r, spec.degree, _zeros(spec)), terms, n
+            )
+
+    def test_suites_keep_the_rogosinski_order_and_raise_it_only_for_cor1(
+        self, default_grid, monkeypatch
+    ):
+        orders = []
+
+        def counted(base, spec, n):
+            orders.append(n)
+            return make_subordinate(base, spec, n)
+
+        monkeypatch.setattr(verify, "make_subordinate", counted)
+        run_suite("thm1_B", default_grid)
+        assert set(orders) == {_N_MAX}
+        orders.clear()
+        run_suite("cor1", default_grid)
+        assert min(orders) == _N_MAX and max(orders) <= default_grid.truncation
 
 
 class TestRogosinskiDominance:
@@ -756,6 +866,33 @@ class TestNoPerPointLoops:
         # both ends, one per step and the residual at the root.
         (result,) = crossings
         assert calls == {"array": 1, "float": result.iterations + 3}
+
+    def test_thm1_composes_only_the_orders_its_rows_read(self, default_grid, monkeypatch):
+        convolve = np.convolve
+        calls = []
+
+        def counted(a, v, mode="full"):
+            calls.append(1)
+            return convolve(a, v, mode)
+
+        monkeypatch.setattr(np, "convolve", counted)
+        run_suite("thm1_B", default_grid)
+        # Horner to the Rogosinski order 128, not to the truncation 256,
+        # which took 18,910 convolutions.
+        assert 0 < len(calls) <= 10_000
+
+    @pytest.mark.parametrize("truncation", [48, _N_MAX])
+    def test_no_tail_certificate_at_or_below_the_rogosinski_order(
+        self, truncation, monkeypatch
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("certificate computed at truncation <= 128")
+
+        monkeypatch.setattr(verify, "_class_tail", forbidden)
+        monkeypatch.setattr(verify, "_cor1_class_tail", forbidden)
+        grid = ScanGrid(sample_count=10, truncation=truncation)
+        for suite in ("prop1", "thm1_B", "thm1_B2", "cor1"):
+            run_suite(suite, grid)
 
     def test_thm1_B2_values_each_trapezoid_in_one_call(self, monkeypatch, light_grid):
         raw = bounds._thm1_B_raw
