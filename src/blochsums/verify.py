@@ -79,6 +79,8 @@ from .series import (
     _cor1_class_tail,
     _cor1_tail_certificate,
     _phi_weighted_functional,
+    circle_mean_square,
+    derivative_series,
     integrate_series,
     tail_majorant_extremal,
     weighted_power_sum,
@@ -239,6 +241,16 @@ class ScanGrid:
             raise ValueError(
                 "r_values must name at least one radius, each in (0, 1/sqrt(3)]"
             )
+        # The thm5 replay's row ids name each radius at six decimals.
+        labels: Dict[str, float] = {}
+        for r in self.r_values or ():
+            label = f"{r:.6f}"
+            if label in labels:
+                raise ValueError(
+                    f"r_values {labels[label]!r} and {r!r} share the row-id "
+                    f"label r={label}"
+                )
+            labels[label] = r
 
     def x_grid(self) -> np.ndarray:
         lo, hi, steps = self.x_range
@@ -479,7 +491,7 @@ def verify_thm1(x: float, r: float, grid: ScanGrid) -> List[BoundEvaluation]:
     if not 0.0 < x < X_SUP:
         raise ValueError("x must lie in (0, 1/sqrt(3))")
     adm = r_admissible(x)
-    if not 0.0 < r <= adm + 1e-12:
+    if not 0.0 < r <= adm + bounds._EDGE:
         raise ValueError(
             f"r={r} is not admissible for x={x}: the bound requires r <= {adm}"
         )
@@ -569,7 +581,7 @@ def _thm2_rows(r: float) -> List[BoundEvaluation]:
             1e-12,
         ),
     ]
-    if abs(r - THM2_R_LO) < 1e-12:
+    if abs(r - THM2_R_LO) < bounds._EDGE:
         factored = (1.0 / 15.0) * (3.0 * xs * xs - 1.0) ** 2 * (4.0 * xs * xs - 5.0)
         instances.append(
             _budget(
@@ -580,7 +592,7 @@ def _thm2_rows(r: float) -> List[BoundEvaluation]:
                 1e-12,
             )
         )
-    if abs(r - R_HI) < 1e-12:
+    if abs(r - R_HI) < bounds._EDGE:
         instances.append(
             _budget(
                 "thm2",
@@ -805,92 +817,36 @@ def _thm5_searches(r, grid: ScanGrid):
 
 
 def _thm5_rows(
-    r: float,
-    x_case: float,
-    upper: Tuple[float, float],
-    searches: Sequence[Tuple[float, float]],
+    r: float, searches: Sequence[Tuple[float, float]]
 ) -> List[BoundEvaluation]:
-    """The three-case proof of the product bound replayed at radius r, given
-    x_case = x_of_a(3/5), the family peak at R_HI as (value, argmax) and the
-    results of ``_thm5_searches`` at r.
+    """The rows of the three-case proof of the product bound that depend on
+    the radius r, given the results of ``_thm5_searches`` at r.
 
-    Case 1 (a <= 3/5, family bound): the comparison polynomial's sign, the
-    interval chain and the printed decimals.  Case 2 (logarithmic bound):
-    the maximum and its stated location.  Case 3: direct maximization.  Ring
-    rows pin the bound at both boundary radii (the maximum principle)."""
+    Case 1 (a <= 3/5, family bound): r below the admissible floor and the
+    comparison polynomial's sign.  Case 2 (logarithmic bound): the maximum
+    and its stated location.  Case 3: direct maximization.  Ring: the
+    family at r."""
     r2 = r * r
     rhs = 27.0 * r2 * r2 / 8.0
     (best2, arg2), (best3, arg3), (peak_lo, x_lo) = searches
-    instances: List[BoundEvaluation] = []
-
-    # Case 1: the hypothesis a <= 3/5 confines x below 1/4, where the
-    # admissible radius stays above 0.38 and hence above the threshold.
-    instances.append(
-        BoundEvaluation("thm5", "case1/x_boundary", {"a": 0.6}, x_case, 0.25)
-    )
-    instances.append(
-        BoundEvaluation(
-            "thm5",
-            "case1/admissible_floor",
-            {"x": 0.25},
-            0.38,
-            r_admissible(0.25),
-        )
-    )
-    instances.append(
-        BoundEvaluation("thm5", "case1/radius_below_floor", {"r": r}, r, 0.38)
-    )
-    x_hi = min(0.25, r_admissible(r) - 1e-9)
-    xs = np.linspace(X_GUARD, x_hi, 400)
+    xs = np.linspace(X_GUARD, min(0.25, r_admissible(r) - 1e-9), 400)
     dvals = _thm5_family_lhs(xs, r) - rhs
-    instances.append(_grid_max("thm5", "case1/negativity", {"r": r}, "x", xs, dvals))
-    if abs(r - R_THM5) < 1e-12:
-        q = -4.0 * case1_poly_coeffs(r)[2:]  # -4 P(y)/y^2, y^0 .. y^5
-        for j, (got, printed) in enumerate(zip(q, THM5_CASE1_PRINTED_DECIMALS)):
-            instances.append(
-                _budget(
-                    "thm5",
-                    f"case1/decimal{j}",
-                    {"power": float(j)},
-                    (got - printed) / abs(printed),
-                    1e-3,
-                )
-            )
-
-    # Case 2: logarithmic envelope on 3/5 <= a <= 3/4.
-    instances.append(
-        BoundEvaluation("thm5", "case2/max_value", {"r": r, "a": arg2}, best2, rhs)
-    )
-    instances.append(
+    return [
+        BoundEvaluation("thm5", "case1/radius_below_floor", {"r": r}, r, 0.38),
+        _grid_max("thm5", "case1/negativity", {"r": r}, "x", xs, dvals),
+        # Case 2: logarithmic envelope on 3/5 <= a <= 3/4.
+        BoundEvaluation("thm5", "case2/max_value", {"r": r, "a": arg2}, best2, rhs),
         BoundEvaluation(
             "thm5",
             "case2/argmax_location",
             {"r": r, "argmax": arg2},
             abs(arg2 - 0.75),
             1e-6,
-        )
-    )
-
-    # Case 3: direct maximization on 3/4 <= a <= 1.
-    instances.append(
-        BoundEvaluation("thm5", "case3/max_value", {"r": r, "a": arg3}, best3, rhs)
-    )
-
-    # Ring instances: the inequality over the whole family at both ends.
-    instances.append(
-        BoundEvaluation("thm5", "ring/lower", {"r": r, "x": x_lo}, peak_lo, rhs)
-    )
-    peak_hi, x_hi_ring = upper
-    instances.append(
-        BoundEvaluation(
-            "thm5",
-            "ring/upper",
-            {"r": R_HI, "x": x_hi_ring},
-            peak_hi,
-            bounds._thm_rhs_raw("thm5", R_HI),
-        )
-    )
-    return instances
+        ),
+        # Case 3: direct maximization on 3/4 <= a <= 1.
+        BoundEvaluation("thm5", "case3/max_value", {"r": r, "a": arg3}, best3, rhs),
+        BoundEvaluation("thm5", "ring/lower", {"r": r, "x": x_lo}, peak_lo, rhs),
+    ]
 
 
 def _scan_functional(bound_id: str, *radii: float) -> Callable[[float, float], float]:
@@ -944,8 +900,6 @@ def crossing_radius(
 
 
 def _suite_basic(grid: ScanGrid) -> List[BoundEvaluation]:
-    from .series import circle_mean_square, derivative_series
-
     rng = np.random.default_rng((grid.seed, 0))
     instances: List[BoundEvaluation] = []
     order = 64
@@ -1150,20 +1104,51 @@ def _suite_cor1(grid: ScanGrid) -> List[BoundEvaluation]:
 
 
 def _suite_thm5(grid: ScanGrid) -> List[BoundEvaluation]:
-    x_case = x_of_a(0.6)
-    upper = _family_peak(_thm5_family_lhs, R_HI, grid)
+    """The thm5 replay: the proof's rows that hold for every radius once,
+    then ``_thm5_rows`` at R, or at each of ``grid.r_values`` under an
+    ``r=.../`` prefix."""
+    # Case 1: the hypothesis a <= 3/5 confines x below 1/4, where the
+    # admissible radius stays above 0.38 and hence above the threshold; at
+    # R the comparison polynomial has the printed decimals.
+    instances = [
+        BoundEvaluation("thm5", "case1/x_boundary", {"a": 0.6}, x_of_a(0.6), 0.25),
+        BoundEvaluation(
+            "thm5", "case1/admissible_floor", {"x": 0.25}, 0.38, r_admissible(0.25)
+        ),
+    ]
+    q = -4.0 * case1_poly_coeffs(R_THM5)[2:]  # -4 P(y)/y^2, y^0 .. y^5
+    for j, (got, printed) in enumerate(zip(q, THM5_CASE1_PRINTED_DECIMALS)):
+        instances.append(
+            _budget(
+                "thm5",
+                f"case1/decimal{j}",
+                {"power": float(j)},
+                (got - printed) / abs(printed),
+                1e-3,
+            )
+        )
+    # Ring: the whole family at the upper end (the maximum principle).
+    peak_hi, x_hi = _family_peak(_thm5_family_lhs, R_HI, grid)
+    instances.append(
+        BoundEvaluation(
+            "thm5",
+            "ring/upper",
+            {"r": R_HI, "x": x_hi},
+            peak_hi,
+            bounds._thm_rhs_raw("thm5", R_HI),
+        )
+    )
     if grid.r_values is None:
-        return _thm5_rows(R_THM5, x_case, upper, _thm5_searches(R_THM5, grid))
+        return instances + _thm5_rows(R_THM5, _thm5_searches(R_THM5, grid))
     # One lockstep search per case over all radii; the rows, one radius at
     # a time.
     found = [
         [column.tolist() for column in pair]
         for pair in _thm5_searches(np.array(grid.r_values), grid)
     ]
-    instances: List[BoundEvaluation] = []
     for k, r in enumerate(grid.r_values):
         searches = [(u[k], v[k]) for u, v in found]
-        instances += _prefixed(f"r={r:.6f}", _thm5_rows(r, x_case, upper, searches))
+        instances += _prefixed(f"r={r:.6f}", _thm5_rows(r, searches))
     return instances
 
 

@@ -265,6 +265,9 @@ class TestVerifyCommand:
             ("--suite", "thm5", "--r-values", "0.3,0.5773502691896259"),
             ("--suite", "thm5", "--r-values", ","),
             ("--suite", "thm5", "--grid", "0.1:0.9:10"),
+            # Radii that print alike at six decimals would share row ids.
+            ("--suite", "thm5", "--r-values", "0.3800001,0.3800004"),
+            ("--suite", "thm5", "--r-values", "0.38,0.38"),
         ],
     )
     def test_out_of_domain_values_exit_2(self, capsys, flags):

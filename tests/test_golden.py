@@ -187,6 +187,17 @@ def test_outputs_equal_the_golden_files(case):
         pytest.fail(f"{case}: {len(moved)} moved\n" + "\n".join(moved) + note)
 
 
+def test_golden_reports_have_unique_instance_ids():
+    reports = 0
+    for path in sorted(GOLDEN.glob("*/*")):
+        records = _records(path.name, path.read_text(encoding="utf-8")) or []
+        ids = [r["instance_id"] for r in records if "instance_id" in r]
+        if ids:
+            reports += 1
+            assert len(ids) == len(set(ids)), path
+    assert reports > 0
+
+
 def test_versions_file_names_python_and_numpy():
     assert set(json.loads(VERSIONS.read_text(encoding="utf-8"))) == {"python", "numpy"}
 

@@ -24,7 +24,7 @@ from blochsums import (
 )
 from blochsums import bounds, numerics, verify
 from blochsums.bounds import THM2_R_LO, R_HI, r_admissible
-from blochsums.families import X_GUARD, X_SUP, a_of_x, b2_max, f_n_prime, x_of_a
+from blochsums.families import X_GUARD, X_SUP, a_of_x, b2_max, f_n_prime
 from blochsums.numerics import golden_max
 from blochsums.series import (
     _class_tail,
@@ -515,6 +515,14 @@ _THM5_CASES = {
     "case3": (_thm5_case3_lhs, np.linspace(0.75, 1.0, 200)),
 }
 
+# The thm5 rows that hold for every radius: once per run, never prefixed.
+_THM5_FIXED_IDS = (
+    "case1/x_boundary",
+    "case1/admissible_floor",
+    *(f"case1/decimal{j}" for j in range(6)),
+    "ring/upper",
+)
+
 
 class TestArrayClosedForms:
     """A closed form called with an array of x (or a) must give, element by
@@ -644,9 +652,7 @@ class TestFamilyGridOracles:
         for r in (0.05, 0.2, R_THM5, 0.37, 0.38, 0.5, R_HI):
             rows = {
                 i.instance_id: i
-                for i in _thm5_rows(
-                    r, x_of_a(0.6), (1.0, 0.1), _thm5_searches(r, default_grid)
-                )
+                for i in _thm5_rows(r, _thm5_searches(r, default_grid))
             }
             rhs = 27.0 * (r * r) * (r * r) / 8.0
             xs = np.linspace(X_GUARD, min(0.25, r_admissible(r) - 1e-9), 400)
@@ -675,16 +681,20 @@ class TestFamilyGridOracles:
     def test_thm5_r_values_rows_equal_the_per_radius_rows(self, default_grid):
         # The replay at many radii runs each search once, in lockstep over
         # all radii; each radius must get the rows of its own float search,
-        # where the grid node and where golden sets the case maxima.
+        # where the grid node and where golden sets the case maxima.  The
+        # rows that hold for every radius come once, unprefixed, equal to
+        # the default run's.
         radii = (0.05, 0.2, R_THM5, 0.37, 0.371, 0.375, 0.38, 0.5, R_HI)
         grid = dataclasses.replace(default_grid, r_values=radii)
         got = run_suite("thm5", grid).instances
-        upper = _family_peak(_thm5_family_lhs, R_HI, grid)
-        want = []
+        default = {i.instance_id: i for i in run_suite("thm5", default_grid).instances}
+        fixed = [i for i in got if not i.instance_id.startswith("r=")]
+        assert sorted(i.instance_id for i in fixed) == sorted(_THM5_FIXED_IDS)
+        want = [default[i.instance_id] for i in fixed]
         wins = {"grid": 0, "golden": 0}
         for r in radii:
             searches = _thm5_searches(r, grid)
-            rows = _thm5_rows(r, x_of_a(0.6), upper, searches)
+            rows = _thm5_rows(r, searches)
             want += [
                 dataclasses.replace(i, instance_id=f"r={r:.6f}/{i.instance_id}")
                 for i in rows
@@ -984,6 +994,19 @@ class TestSuiteRunners:
                 ScanGrid(**bad)
         # 1/sqrt(3), the end of the thm5 replay's admissible radii, is valid.
         assert ScanGrid(r_values=(R_HI,)).r_values == (R_HI,)
+
+    @pytest.mark.parametrize(
+        "radii", [(0.3800001, 0.3800004), (0.38, 0.38), (0.2, 0.3, 0.2000004)]
+    )
+    def test_scan_grid_rejects_radii_sharing_a_row_label(self, radii):
+        # Replay row ids name a radius at six decimals, so two radii with
+        # one label would give two rows one id.
+        with pytest.raises(ValueError, match="share the row-id label") as err:
+            ScanGrid(r_values=radii)
+        assert repr(radii[0]) in str(err.value)
+        assert repr(radii[-1]) in str(err.value)
+        # Radii distinct at six decimals stay valid, however close.
+        assert ScanGrid(r_values=(0.3800004, 0.3800006)).r_values
 
 
 class TestSuitesJudgeOnce:
