@@ -65,7 +65,8 @@ R_THM5 = math.sqrt(59.0 - math.sqrt(2713.0)) / (4.0 * SQRT3)
 
 # Interval endpoints of the quartic bounds.
 THM2_R_LO = math.sqrt(4.0 / 15.0)
-THM3_R_LO = math.sqrt((9.0 - math.sqrt(65.0)) / 6.0)
+_THM3_R2 = (9.0 - math.sqrt(65.0)) / 6.0  # thm3's squared lower endpoint
+THM3_R_LO = math.sqrt(_THM3_R2)
 R_HI = 1.0 / SQRT3
 
 # Quartic right-hand sides: scale * r^4 on [lo, hi].

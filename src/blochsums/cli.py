@@ -316,7 +316,7 @@ def cmd_root() -> int:
     result = bisect(remark6_poly, lo, hi, tol=1e-15)
     rho = result.root
     sqrt_rho = math.sqrt(rho)
-    residual = abs(remark6_poly(rho))
+    residual = abs(result.residual)
     print(f"rho = {_fmt(rho)}")
     print(f"sqrt_rho = {_fmt(sqrt_rho)}")
     print(f"residual = {_fmt(residual)}")
@@ -550,21 +550,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         if args.command == "verify":
-            return cmd_verify(_verify_config(args))
-        if args.command == "root":
-            return cmd_root()
-        if args.command == "table":
+            status = cmd_verify(_verify_config(args))
+        elif args.command == "root":
+            status = cmd_root()
+        elif args.command == "table":
             bound_ids = _parse_list("bounds", args.bounds)
             if not bound_ids:
                 raise UsageError("--bounds must name at least one bound id")
             r_range = _parse_grid("grid", args.grid)
-            return cmd_table(bound_ids, r_range, args.x, args.out)
-        # scan: the subparsers admit no other command
-        r_range = None if args.grid is None else _parse_grid("grid", args.grid)
-        return cmd_scan(args.target, r_range, ScanGrid(), args.out)
+            status = cmd_table(bound_ids, r_range, args.x, args.out)
+        else:  # scan: the subparsers admit no other command
+            r_range = None if args.grid is None else _parse_grid("grid", args.grid)
+            status = cmd_scan(args.target, r_range, ScanGrid(), args.out)
+        sys.stdout.flush()  # a closed reader shows here, not at exit
+        return status
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader of stdout is gone: what is still buffered goes to
+        # /dev/null, so the flush at exit neither fails nor prints.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,13 +1,14 @@
 """Numerical kernel: bracketing root finder, sign-change scanner,
 golden-section maximizer, and composite trapezoid quadrature.  The private
-helpers ``_pow``, ``_log1m_tail`` and ``_log1m_tail_direct`` take a float or
-an array, so that a closed form written once takes a radius or a whole grid
-in one call.  In the same way ``golden_max`` takes a float bracket or an
-array of brackets, whose searches run in lockstep, and so does its refined
-form ``_grid_refined_max`` (a grid, then golden around its largest node),
-the one way the package takes a maximum over an interval.  The
-trapezoid adds its node values left to right in ``_trapezoid_sum``, which
-``trapezoid`` and callers that evaluate the nodes in one array call share.
+helpers ``_pow`` and ``_log1m_tail`` (the package's one form of
+-log(1 - t) - t, free of cancellation) take a float or an array, so that a
+closed form written once takes a radius or a whole grid in one call.  In
+the same way ``golden_max`` takes a float bracket or an array of brackets,
+whose searches run in lockstep, and so does its refined form
+``_grid_refined_max`` (a grid, then golden around its largest node), the
+one way the package takes a maximum over an interval.  The trapezoid adds
+its node values left to right in ``_trapezoid_sum``, which ``trapezoid``
+and callers that evaluate the nodes in one array call share.
 
 Everything here is pure and deterministic.  Bisection is preferred wherever
 a bracket exists because its convergence is unconditional, and none of the
@@ -70,17 +71,6 @@ def _log1m_series(t):
     s = t / (2.0 - t)
     s2 = s * s
     return t * t / (2.0 - t) + 2.0 * s * s2 * (1.0 / 3.0 + s2 / 5.0 + s2 * s2 / 7.0)
-
-
-def _log1m_tail_direct(t):
-    """log(1/(1 - t)) - t by ``math.log``, with the cancellation that
-    ``_log1m_tail`` avoids (the thm5 case-2 rows keep its bits); t a float
-    or an array of any shape, each of whose elements gets the bits of a
-    scalar call."""
-    if type(t) is ndarray:
-        out = [math.log(1.0 / (1.0 - v)) - v for v in t.ravel().tolist()]
-        return np.array(out).reshape(t.shape)
-    return math.log(1.0 / (1.0 - t)) - t
 
 
 def _pow(v, k: int):

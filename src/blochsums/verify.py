@@ -63,7 +63,6 @@ from .families import (
 from .numerics import (
     _grid_refined_max,
     _log1m_tail,
-    _log1m_tail_direct,
     _pow,
     _trapezoid_sum,
     bisect,
@@ -146,7 +145,9 @@ THM5_CASE1_PRINTED_DECIMALS: Tuple[float, ...] = (
 )
 
 _SQRT65 = math.sqrt(65.0)
-_THM3_R2 = (9.0 - _SQRT65) / 6.0  # squared lower-endpoint radius
+
+# The x grid on which thm2 and thm3 take their maxima.
+_X_GRID = np.linspace(X_GUARD, X_SUP - X_GUARD, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -562,7 +563,7 @@ def _thm2_rows(r: float) -> List[BoundEvaluation]:
     the ends the factorization (lower) and the all-x equality (upper)."""
     bounds._check_thm_interval("thm2", r)
     r2 = r * r
-    xs = np.linspace(X_GUARD, X_SUP - X_GUARD, 1000)
+    xs = _X_GRID
     quad = _thm2_quadratic(xs, r2)
     sextic = _thm2_sextic(xs, r2)
     rhs = 27.0 * r2 / 4.0
@@ -647,7 +648,7 @@ def _thm3_quadratic(x: float) -> float:
     evaluated through the boundary coefficient pair (b1, b2)."""
     b1 = a_of_x(x)
     b2 = b2_max(x)
-    r2 = _THM3_R2
+    r2 = bounds._THM3_R2
     return (
         b1 * b1
         + 4.0 * b2 * b2 * r2
@@ -660,9 +661,8 @@ def _thm3_rows() -> List[BoundEvaluation]:
     """Surd-coefficient sextic: its sign on a 1000-point grid, each exact
     coefficient against its printed decimal, and the factored form against
     two independent routes to the same quantity."""
-    xs = np.linspace(X_GUARD, X_SUP - X_GUARD, 1000)
-    sextic = _thm3_sextic(xs)
-    instances = [_grid_max("thm3", "negativity", {}, "x", xs, sextic)]
+    sextic = _thm3_sextic(_X_GRID)
+    instances = [_grid_max("thm3", "negativity", {}, "x", _X_GRID, sextic)]
     for j, (exact, printed) in enumerate(
         zip(thm3_surd_coefficients(), THM3_PRINTED_DECIMALS), start=1
     ):
@@ -787,11 +787,12 @@ def case1_poly_coeffs(r: float = R_THM5) -> np.ndarray:
 def _thm5_case2_lhs(a, r, log_term=None):
     """Case-2 product bound of thm5 for the first coefficient a (a float or
     an array): (1 - a^2)(a^2 r^2 + ((9 - 4a^2)^2 / 12)(log(1/(1-r^2)) - r^2)).
-    A search passes the last factor, ``_log1m_tail_direct(r^2)``, as
-    ``log_term``, computed once per radius."""
+    The last factor is ``_log1m_tail(r^2)``, free of the cancellation in
+    the difference as written; a search passes it as ``log_term``, computed
+    once per radius."""
     r2 = r * r
     if log_term is None:
-        log_term = _log1m_tail_direct(r2)
+        log_term = _log1m_tail(r2)
     q2 = _pow(9.0 - 4.0 * a * a, 2)
     return (1.0 - a * a) * (a * a * r2 + (q2 / 12.0) * log_term)
 
@@ -809,7 +810,7 @@ def _thm5_searches(r, grid: ScanGrid):
     nodes, golden-refined) and the ring/lower family peak."""
     return (
         _grid_refined_max(
-            _thm5_case2_lhs, np.linspace(0.6, 0.75, 200), r, _log1m_tail_direct(r * r)
+            _thm5_case2_lhs, np.linspace(0.6, 0.75, 200), r, _log1m_tail(r * r)
         ),
         _grid_refined_max(_thm5_case3_lhs, np.linspace(0.75, 1.0, 200), r),
         _family_peak(_thm5_family_lhs, r, grid),
@@ -825,10 +826,10 @@ def _thm5_rows(
     Case 1 (a <= 3/5, family bound): r below the admissible floor and the
     comparison polynomial's sign.  Case 2 (logarithmic bound): the maximum
     and its stated location.  Case 3: direct maximization.  Ring: the
-    family at r."""
-    r2 = r * r
-    rhs = 27.0 * r2 * r2 / 8.0
+    family at r, the scan row under its own id."""
     (best2, arg2), (best3, arg3), (peak_lo, x_lo) = searches
+    ring = _scan_row("thm5", r, peak_lo, x_lo, "ring/lower")
+    rhs = ring.rhs  # bounds._thm_rhs_raw("thm5", r)
     xs = np.linspace(X_GUARD, min(0.25, r_admissible(r) - 1e-9), 400)
     dvals = _thm5_family_lhs(xs, r) - rhs
     return [
@@ -845,7 +846,7 @@ def _thm5_rows(
         ),
         # Case 3: direct maximization on 3/4 <= a <= 1.
         BoundEvaluation("thm5", "case3/max_value", {"r": r, "a": arg3}, best3, rhs),
-        BoundEvaluation("thm5", "ring/lower", {"r": r, "x": x_lo}, peak_lo, rhs),
+        ring,
     ]
 
 
@@ -872,9 +873,14 @@ def sharpness_scan(bound_id: str, r: float, grid: ScanGrid) -> BoundEvaluation:
     return _scan_row(bound_id, r, peak, arg)
 
 
-def _scan_row(bound_id: str, r: float, peak: float, arg: float) -> BoundEvaluation:
+def _scan_row(
+    bound_id: str, r: float, peak: float, arg: float, instance_id: str = ""
+) -> BoundEvaluation:
+    """The family peak at r against the quartic bound, as ``instance_id``
+    (by default ``scan/r=...``)."""
     rhs = bounds._thm_rhs_raw(bound_id, r)
-    return BoundEvaluation(bound_id, f"scan/r={r:.8f}", {"r": r, "x": arg}, peak, rhs)
+    instance_id = instance_id or f"scan/r={r:.8f}"
+    return BoundEvaluation(bound_id, instance_id, {"r": r, "x": arg}, peak, rhs)
 
 
 def crossing_radius(
@@ -1129,15 +1135,7 @@ def _suite_thm5(grid: ScanGrid) -> List[BoundEvaluation]:
         )
     # Ring: the whole family at the upper end (the maximum principle).
     peak_hi, x_hi = _family_peak(_thm5_family_lhs, R_HI, grid)
-    instances.append(
-        BoundEvaluation(
-            "thm5",
-            "ring/upper",
-            {"r": R_HI, "x": x_hi},
-            peak_hi,
-            bounds._thm_rhs_raw("thm5", R_HI),
-        )
-    )
+    instances.append(_scan_row("thm5", R_HI, peak_hi, x_hi, "ring/upper"))
     if grid.r_values is None:
         return instances + _thm5_rows(R_THM5, _thm5_searches(R_THM5, grid))
     # One lockstep search per case over all radii; the rows, one radius at

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -619,3 +621,43 @@ class TestScanCommand:
         rc, _, err = run_cli(capsys, "scan", "--target", "problem9")
         assert rc == 2
         assert "unknown scan target" in err
+
+
+class TestClosedStdout:
+    # ``blochsums scan ... | head -1``: the reader goes before the command
+    # writes.  Unbuffered, the first print meets the closed pipe; buffered,
+    # the flush does, and at exit it used to fail again (status 120).
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["root"],
+            ["scan", "--target", "problem1"],
+            ["table", "--bounds", "thm5", "--grid", "0.38:0.5:5"],
+            ["verify", "--suite", "thm3", "--out", "<tmp>"],
+        ],
+        ids=["root", "scan", "table", "verify"],
+    )
+    def test_exit_1_and_no_traceback(self, tmp_path, argv, unbuffered):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        argv = [a.replace("<tmp>", str(tmp_path)) for a in argv]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts, so before it writes
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "blochsums", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "Exception ignored" not in proc.stderr

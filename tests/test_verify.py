@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -654,7 +655,8 @@ class TestFamilyGridOracles:
                 i.instance_id: i
                 for i in _thm5_rows(r, _thm5_searches(r, default_grid))
             }
-            rhs = 27.0 * (r * r) * (r * r) / 8.0
+            # thm_rhs without its radius gate: the radii reach below R.
+            rhs = bounds._thm_rhs_raw("thm5", r)
             xs = np.linspace(X_GUARD, min(0.25, r_admissible(r) - 1e-9), 400)
             dvals = np.array([_thm5_family_lhs(x, r) - rhs for x in xs])
             i = int(np.argmax(dvals))
@@ -712,6 +714,38 @@ class TestFamilyGridOracles:
         for g, w in zip(got, want):
             assert list(g.params) == list(w.params), g.instance_id
             assert np.array_equal(fields(g), fields(w)), g.instance_id
+
+    def test_thm5_rows_take_the_declared_quartic_bound(self, default_grid):
+        # Every row against (27/8) r^4 carries thm_rhs's bits, case 1 takes
+        # its differences against the same value, and both ring rows are the
+        # sharpness scan's row at their radius under their own ids: in the
+        # default run and in a replay.
+        radii = (R_THM5, 0.38, 0.4, 0.45, 0.5, R_HI)
+        replay = dataclasses.replace(default_grid, r_values=radii)
+        quartic = ("case2/max_value", "case3/max_value", "ring/lower", "ring/upper")
+
+        def fields(i):
+            return _bits(i.lhs, i.rhs, i.slack, i.tail_certificate, *i.params.values())
+
+        for grid, count in ((default_grid, 5), (replay, 6 * 4 + 1)):
+            seen = 0
+            for row in run_suite("thm5", grid).instances:
+                name = re.sub(r"^r=[^/]*/", "", row.instance_id)
+                if name not in quartic and name != "case1/negativity":
+                    continue
+                seen += 1
+                r = row.params["r"]
+                rhs = bounds.thm_rhs("thm5", r)
+                if name == "case1/negativity":
+                    want = _thm5_family_lhs(row.params["x"], r) - rhs
+                    assert np.array_equal(_bits(row.lhs), _bits(want)), row.instance_id
+                    continue
+                assert np.array_equal(_bits(row.rhs), _bits(rhs)), row.instance_id
+                if name.startswith("ring/"):
+                    scan = sharpness_scan("thm5", r, default_grid)
+                    assert list(row.params) == list(scan.params)
+                    assert np.array_equal(fields(row), fields(scan)), row.instance_id
+            assert seen == count
 
     def test_grid_win_records_the_grid_node(self, default_grid):
         # At every r >= R the case-2 envelope peaks at a = 3/5 and the
