@@ -48,7 +48,6 @@ from .bounds import (
 from .numerics import _straddles, bisect, sign_changes
 from .verify import (
     ALL_SUITES,
-    DEFAULT_TOL,
     ScanGrid,
     VerdictReport,
     _family_peak,
@@ -84,15 +83,16 @@ def _fmt(value: float) -> str:
 @dataclass(frozen=True)
 class RunConfig:
     """Flat, file-representable configuration for the ``verify`` subcommand.
-    ``ScanGrid`` checks the numeric fields when ``scan_grid`` builds it."""
+    ``ScanGrid`` declares the numeric fields' defaults and checks the fields
+    when ``scan_grid`` builds it."""
 
     suites: Tuple[str, ...] = ALL_SUITES
     out: Optional[str] = None
     format: str = "csv"
-    seed: int = 42
-    tol: float = DEFAULT_TOL
+    seed: int = ScanGrid.seed
+    tol: float = ScanGrid.tolerance
     grid: Optional[Tuple[float, float, int]] = None
-    truncation: int = 256
+    truncation: int = ScanGrid.truncation
     r_values: Optional[Tuple[float, ...]] = None
 
     def __post_init__(self) -> None:
@@ -465,7 +465,8 @@ def cmd_scan(
 
     crossing = None
     for i in range(len(radii) - 1):
-        if slacks[i] == 0.0:
+        # Below r ~ 1e-162 peak and bound underflow to 0: no crossing.
+        if slacks[i] == 0.0 and rows[i].rhs > 0.0:
             crossing = float(radii[i])
             break
         if _straddles(slacks[i], slacks[i + 1]):

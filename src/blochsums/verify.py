@@ -11,7 +11,10 @@ suite's rows once, under the grid's tolerance, into a VerdictReport:
   the observed deviation and whose rhs is the allowed budget;
 * sampled inequality tests draw Schwarz-composed test functions, whose class
   membership is guaranteed by construction (composition with a self-map of
-  the disc fixing 0), never asserted from a numerical scan.
+  the disc fixing 0), never asserted from a numerical scan;
+* only the equality rows of the extremal ``G_x`` and ``H_a`` carry a tail
+  certificate, for what truncation drops from those series; a composed
+  sample's truncated sums are compared as computed.
 
 The sampled machinery rests on two classical facts: coefficient prefix-sum
 dominance under subordination, which the ``rogosinski`` rows check for each
@@ -101,18 +104,6 @@ __all__ = [
     "thm3_surd_coefficients",
     "case1_poly_coeffs",
 ]
-
-ALL_SUITES: Tuple[str, ...] = (
-    "basic",
-    "prop1",
-    "thm1_B",
-    "thm1_B2",
-    "thm2",
-    "thm3",
-    "cor1",
-    "cor2",
-    "thm5",
-)
 
 # Relative tolerance of the pass rule (see ``BoundEvaluation.margin``): the
 # default of ``ScanGrid.tolerance`` and ``--tol``.
@@ -208,6 +199,11 @@ class SchwarzSpec:
         return w
 
 
+def _radius_label(r: float) -> str:
+    """The ``r=...`` row-id part naming a radius, at six decimals."""
+    return f"r={r:.6f}"
+
+
 @dataclass(frozen=True)
 class ScanGrid:
     """Parameter grids, seed, and tolerances driving the verifier sweeps."""
@@ -242,14 +238,14 @@ class ScanGrid:
             raise ValueError(
                 "r_values must name at least one radius, each in (0, 1/sqrt(3)]"
             )
-        # The thm5 replay's row ids name each radius at six decimals.
+        # The thm5 replay's row ids name each radius by its label.
         labels: Dict[str, float] = {}
         for r in self.r_values or ():
-            label = f"{r:.6f}"
+            label = _radius_label(r)
             if label in labels:
                 raise ValueError(
                     f"r_values {labels[label]!r} and {r!r} share the row-id "
-                    f"label r={label}"
+                    f"label {label}"
                 )
             labels[label] = r
 
@@ -487,7 +483,8 @@ def verify_thm1(x: float, r: float, grid: ScanGrid) -> List[BoundEvaluation]:
 
     The truncated coefficient sums of the boundary member must match the two
     closed forms within tolerance plus their explicit tail certificates, and
-    every Schwarz-composed subordinate must satisfy both inequalities.
+    every Schwarz-composed subordinate must satisfy both inequalities with
+    no tail (G_x's tails do not bound a composition's).
     """
     if not 0.0 < x < X_SUP:
         raise ValueError("x must lie in (0, 1/sqrt(3))")
@@ -499,22 +496,19 @@ def verify_thm1(x: float, r: float, grid: ScanGrid) -> List[BoundEvaluation]:
     n = grid.truncation
     g = g_prime_coeffs(x, n)
     gf = integrate_series(g, 0.0)
-    # Per bound: the power p of its k^p r^{2k} weight, its closed form and the
-    # tail certificate of the truncated sums.
-    claims = (
-        ("thm1_B", 2, bound_thm1_B(x, r), tail_majorant_extremal(x, r, 2, n)),
-        ("thm1_B2", 1, bound_thm1_B2(x, r), tail_majorant_extremal(x, r, 1, n)),
-    )
+    # Per bound: the power p of its k^p r^{2k} weight and its closed form.
+    claims = (("thm1_B", 2, bound_thm1_B(x, r)), ("thm1_B2", 1, bound_thm1_B2(x, r)))
     params = {"x": x, "r": r}
     instances: List[BoundEvaluation] = []
-    for bid, p, rhs, tail in claims:
+    for bid, p, rhs in claims:
         lhs = weighted_power_sum(gf, p, r, "r2k")
+        tail = tail_majorant_extremal(x, r, p, n)
         instances += _pair(bid, "equality", params, lhs, rhs, tail)
 
     def need(comp, orders):
         comp_f = integrate_series(comp, 0.0)
-        sums = [weighted_power_sum(comp_f, p, r, "r2k") for _, p, _, _ in claims]
-        return sums, np.array([_class_tail(orders, r, p) for _, p, _, _ in claims])
+        sums = [weighted_power_sum(comp_f, p, r, "r2k") for _, p, _ in claims]
+        return sums, np.array([_class_tail(orders, r, p) for _, p, _ in claims])
 
     rng = np.random.default_rng((grid.seed, int(round(x * 1e6))))
     n_max = min(_N_MAX, n)
@@ -523,11 +517,9 @@ def verify_thm1(x: float, r: float, grid: ScanGrid) -> List[BoundEvaluation]:
         comp = _compose_read(g, spec, n, need)
         comp_f = integrate_series(comp, 0.0)
         sample_params = {"x": x, "r": r, "sample": float(i)}
-        for bid, p, rhs, tail in claims:
+        for bid, p, rhs in claims:
             lhs = weighted_power_sum(comp_f, p, r, "r2k")
-            instances.append(
-                BoundEvaluation(bid, f"sample{i:03d}", sample_params, lhs, rhs, tail)
-            )
+            instances.append(BoundEvaluation(bid, f"sample{i:03d}", sample_params, lhs, rhs))
         instances.append(
             _rogosinski_row("thm1_B", f"rogosinski{i:03d}", sample_params, comp, g, n_max)
         )
@@ -890,22 +882,26 @@ def crossing_radius(
     grid: ScanGrid,
     tol: float = 1e-10,
 ):
-    """Bisect the radius where the family peak crosses the quartic bound."""
+    """Bisect the radius where the family peak crosses the quartic bound;
+    ValueError at a radius where both underflow to 0, which is no crossing."""
     functional = _scan_functional(bound_id, r_lo, r_hi)
 
     def slack_deficit(r: float) -> float:
         peak, _ = _family_peak(functional, r, grid)
-        return peak - bounds._thm_rhs_raw(bound_id, r)
+        rhs = bounds._thm_rhs_raw(bound_id, r)
+        if peak == rhs == 0.0:
+            raise ValueError(f"peak and bound both underflow to 0 at r={r!r}")
+        return peak - rhs
 
     return bisect(slack_deficit, r_lo, r_hi, tol=tol)
 
 
 # ---------------------------------------------------------------------------
-# suite runners (one per report tag): each returns its suite's rows, and
-# run_suite judges them once
+# suite runners (one per report tag): each takes the grid and the run's
+# ``shared`` dict and returns its suite's rows, and run_suite judges them once
 
 
-def _suite_basic(grid: ScanGrid) -> List[BoundEvaluation]:
+def _suite_basic(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluation]:
     rng = np.random.default_rng((grid.seed, 0))
     instances: List[BoundEvaluation] = []
     order = 64
@@ -941,7 +937,7 @@ def _suite_basic(grid: ScanGrid) -> List[BoundEvaluation]:
         instances.append(
             BoundEvaluation(
                 "basic",
-                f"envelope/r={r:.6f}",
+                f"envelope/{_radius_label(r)}",
                 {"r": r},
                 weighted_power_sum(f1, 2, r, "r2k_minus_2"),
                 bound_basic(r),
@@ -950,7 +946,7 @@ def _suite_basic(grid: ScanGrid) -> List[BoundEvaluation]:
     return instances
 
 
-def _suite_prop1(grid: ScanGrid) -> List[BoundEvaluation]:
+def _suite_prop1(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluation]:
     rng = np.random.default_rng((grid.seed, 1))
     instances: List[BoundEvaluation] = []
     for n in range(1, 7):
@@ -1044,29 +1040,27 @@ def _suite_thm1_B2(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvalu
     return instances
 
 
-def _suite_thm2(grid: ScanGrid) -> List[BoundEvaluation]:
+def _suite_thm2(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluation]:
     instances: List[BoundEvaluation] = []
     for r in (THM2_R_LO, 0.55, R_HI):
-        instances += _prefixed(f"r={r:.6f}", _thm2_rows(r))
+        instances += _prefixed(_radius_label(r), _thm2_rows(r))
     return instances
 
 
-def _suite_cor1(grid: ScanGrid) -> List[BoundEvaluation]:
+def _suite_cor1(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluation]:
     rng = np.random.default_rng((grid.seed, 2))
     n = grid.truncation
     instances: List[BoundEvaluation] = []
     for a in (0.3, 0.5, 0.75):
         h = h_series(a, n)
         for r in (0.2, 0.35, 0.55):
-            lhs = _phi_weighted_functional(h, r)
-            cert = _cor1_tail_certificate(a, r, n)
             instances += _pair(
                 "cor1",
                 f"equality/a={a:.2f}/r={r:.2f}",
                 {"a": a, "r": r},
-                lhs,
+                _phi_weighted_functional(h, r),
                 bound_cor1(a, r),
-                cert,
+                _cor1_tail_certificate(a, r, n),
             )
         ref = (9.0 - 4.0 * a * a) ** 2 / 24.0
         r_small = 1e-3
@@ -1100,7 +1094,6 @@ def _suite_cor1(grid: ScanGrid) -> List[BoundEvaluation]:
                 {"a": a, "r": r, "sample": float(i)},
                 _phi_weighted_functional(phi, r),
                 bound_cor1(a, r),
-                _cor1_tail_certificate(a, r, n),
             )
         )
         instances.append(
@@ -1109,7 +1102,7 @@ def _suite_cor1(grid: ScanGrid) -> List[BoundEvaluation]:
     return instances
 
 
-def _suite_thm5(grid: ScanGrid) -> List[BoundEvaluation]:
+def _suite_thm5(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluation]:
     """The thm5 replay: the proof's rows that hold for every radius once,
     then ``_thm5_rows`` at R, or at each of ``grid.r_values`` under an
     ``r=.../`` prefix."""
@@ -1146,7 +1139,7 @@ def _suite_thm5(grid: ScanGrid) -> List[BoundEvaluation]:
     ]
     for k, r in enumerate(grid.r_values):
         searches = [(u[k], v[k]) for u, v in found]
-        instances += _prefixed(f"r={r:.6f}", _thm5_rows(r, searches))
+        instances += _prefixed(_radius_label(r), _thm5_rows(r, searches))
     return instances
 
 
@@ -1156,23 +1149,22 @@ _SUITE_RUNNERS: Dict[str, Callable[..., List[BoundEvaluation]]] = {
     "thm1_B": lambda grid, shared: _thm1_rows(grid, shared)["thm1_B"],
     "thm1_B2": _suite_thm1_B2,
     "thm2": _suite_thm2,
-    "thm3": lambda grid: _thm3_rows(),
+    "thm3": lambda grid, shared: _thm3_rows(),
     "cor1": _suite_cor1,
-    "cor2": lambda grid: _cor2_rows(),
+    "cor2": lambda grid, shared: _cor2_rows(),
     "thm5": _suite_thm5,
 }
+
+ALL_SUITES: Tuple[str, ...] = tuple(_SUITE_RUNNERS)
 
 
 def run_suite(
     suite_id: str, grid: ScanGrid, shared: Optional[Dict[str, object]] = None
 ) -> VerdictReport:
     """Run one certification suite by its report tag and judge its rows under
-    ``grid.tolerance``.  The thm1_B and thm1_B2 suites share their thm1 rows
-    through ``shared``, one dict per run."""
+    ``grid.tolerance``.  Suites share what they build once per run (the thm1
+    rows of thm1_B and thm1_B2) through ``shared``, one dict per run."""
     if suite_id not in _SUITE_RUNNERS:
         raise ValueError(f"unknown suite id {suite_id!r}; known: {ALL_SUITES}")
-    if suite_id in ("thm1_B", "thm1_B2"):
-        rows = _SUITE_RUNNERS[suite_id](grid, {} if shared is None else shared)
-    else:
-        rows = _SUITE_RUNNERS[suite_id](grid)
+    rows = _SUITE_RUNNERS[suite_id](grid, {} if shared is None else shared)
     return VerdictReport.from_instances(suite_id, rows, grid.tolerance)

@@ -79,6 +79,9 @@ class TestRunConfig:
         assert cfg.suites == ("thm2",)
         assert cfg.seed == 5
 
+    def test_numeric_defaults_are_the_scan_grid_defaults(self):
+        assert RunConfig().scan_grid() == verify.ScanGrid()
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(UsageError):
             RunConfig(suites=("thm9",))
@@ -607,6 +610,29 @@ class TestScanCommand:
         assert abs(crossing - R_THM5) <= 1e-4
         body = (tmp_path / "s.csv").read_text().splitlines()
         assert body[0] == "r,max_lhs,rhs,slack,x_at_max"
+
+    @pytest.mark.parametrize(
+        "target, bound_id, want",
+        [
+            ("thm5_sharpness", "thm5", 0.37951478851709908),
+            ("problem1", "thm2", 0.39466631408549802),
+            ("problem2", "thm2", 0.39466631408549802),
+        ],
+    )
+    @pytest.mark.parametrize("grid", ["1e-300:0.5:3", "1e-100:0.5:2"])
+    def test_underflow_is_no_crossing(self, capsys, target, bound_id, want, grid):
+        # At 1e-300 the family peak and the bound both underflow to 0, a
+        # slack of exactly 0 that is no crossing; at 1e-100 only the bound
+        # does, and the row's nonzero slack brackets the crossing with 0.5.
+        rc, out, _ = run_cli(capsys, "scan", "--target", target, "--grid", grid)
+        assert rc == 0
+        line = [l for l in out.splitlines() if l.startswith("crossing_radius")][0]
+        crossing = float(line.split(" = ")[1])
+        assert 0.25 < crossing < 0.5
+        assert abs(crossing - want) <= 1e-9
+        lo = 0.25 if grid.endswith(":3") else 1e-100
+        ref = verify.crossing_radius(bound_id, lo, 0.5, verify.ScanGrid(), tol=1e-12)
+        assert crossing == ref.root
 
     @pytest.mark.parametrize("grid", ["0.5:1.5:3", "0.5:1:3", "0:0.4:3"])
     def test_radii_outside_unit_interval_exit_2(self, capsys, grid):

@@ -442,7 +442,7 @@ class TestRowHelpers:
         # Every radius gives the same excess tail - cap: the first, 0.15, wins.
         monkeypatch.setattr(verify, "weighted_power_sum", lambda *a, **k: 1.0)
         monkeypatch.setattr(verify, "bound_prop1", lambda n, r: 2.0)
-        rows = _suite_prop1(ScanGrid(sample_count=5, truncation=8))
+        rows = _suite_prop1(ScanGrid(sample_count=5, truncation=8), {})
         samples = [i for i in rows if i.instance_id.startswith("sample")]
         assert len(samples) == 30
         assert {i.params["r"] for i in samples} == {0.15}
@@ -477,6 +477,15 @@ class TestSharpnessMachinery:
             sharpness_scan("thm3", 0.5, default_grid)
         with pytest.raises(ValueError, match="bound ids"):
             crossing_radius("thm3", 0.37, 0.4, default_grid)
+
+    @pytest.mark.parametrize("bound_id", ["thm2", "thm5"])
+    def test_crossing_radius_rejects_an_underflowed_end(self, default_grid, bound_id):
+        # Peak and bound are both 0 at 1e-300: no crossing, not a root.
+        with pytest.raises(ValueError, match="underflow"):
+            crossing_radius(bound_id, 1e-300, 0.5, default_grid)
+        # At 1e-100 only the bound underflows, and the bisection runs.
+        result = crossing_radius(bound_id, 1e-100, 0.5, default_grid, tol=1e-12)
+        assert 0.37 < result.root < 0.4
 
     @pytest.mark.parametrize("r_lo, r_hi", [(0.0, 0.4), (0.37, 1.0), (-0.5, 1.5)])
     def test_crossing_radii_outside_unit_interval_rejected(
@@ -989,6 +998,9 @@ class TestSuiteRunners:
         else:
             assert report.passed, report.witnesses
 
+    def test_all_suites_are_the_runner_table(self):
+        assert ALL_SUITES == tuple(verify._SUITE_RUNNERS)
+
     def test_unknown_suite(self, light_grid):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("thm9", light_grid)
@@ -1037,10 +1049,58 @@ class TestSuiteRunners:
         # one label would give two rows one id.
         with pytest.raises(ValueError, match="share the row-id label") as err:
             ScanGrid(r_values=radii)
-        assert repr(radii[0]) in str(err.value)
-        assert repr(radii[-1]) in str(err.value)
+        assert str(err.value) == (
+            f"r_values {radii[0]!r} and {radii[-1]!r} share the row-id label "
+            f"r={radii[-1]:.6f}"
+        )
         # Radii distinct at six decimals stay valid, however close.
         assert ScanGrid(r_values=(0.3800004, 0.3800006)).r_values
+
+
+class TestSampleTails:
+    """A tail certificate sits only on the rows it bounds: the extremal
+    equality rows carry their closed-form tails, and a composed sample's
+    rows carry none, its truncated sums compared as computed."""
+
+    @staticmethod
+    def rows(grid):
+        shared = {}
+        return [
+            i
+            for suite in ("thm1_B", "thm1_B2", "cor1")
+            for i in run_suite(suite, grid, shared).instances
+        ]
+
+    @pytest.mark.parametrize("truncation", [8, 256])
+    def test_only_equality_rows_carry_a_tail(self, truncation):
+        n = truncation
+        seen = {"sample": 0, "equality": 0}
+        for row in self.rows(ScanGrid(truncation=n)):
+            kind = re.sub(r"^x=[^/]*/", "", row.instance_id).split("/")[0]
+            if kind.startswith("sample"):
+                seen["sample"] += 1
+                assert row.tail_certificate == 0.0, row.instance_id
+            elif kind == "equality":
+                seen["equality"] += 1
+                p = row.params
+                if row.bound_id == "cor1":
+                    want = _cor1_tail_certificate(p["a"], p["r"], n)
+                else:
+                    power = 2 if row.bound_id == "thm1_B" else 1
+                    want = verify.tail_majorant_extremal(p["x"], p["r"], power, n)
+                assert _bits(row.tail_certificate) == _bits(want), row.instance_id
+        # 99 thm1 samples in each thm1 suite and 50 in cor1; 3 x's of two
+        # rows each per thm1 suite and 9 (a, r) pairs of two in cor1.
+        assert seen == {"sample": 2 * 99 + 50, "equality": 2 * 6 + 18}
+
+    @pytest.mark.parametrize("truncation", [8, 16, 48, 256])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_every_composed_sample_passes_with_no_tail(self, seed, truncation):
+        grid = ScanGrid(seed=seed, truncation=truncation)
+        samples = [i for i in self.rows(grid) if "sample" in i.instance_id]
+        assert len(samples) == 2 * 99 + 50
+        failed = [i.instance_id for i in samples if not i.passes(grid.tolerance)]
+        assert failed == []
 
 
 class TestSuitesJudgeOnce:
