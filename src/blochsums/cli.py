@@ -50,6 +50,7 @@ from .verify import (
     ALL_SUITES,
     ScanGrid,
     VerdictReport,
+    _MAX_LEN,
     _family_peak,
     _scan_functional,
     _scan_row,
@@ -177,8 +178,8 @@ def _parse_grid(key: str, value: str) -> Tuple[float, float, int]:
     lo = _parse_float(f"{key} lo", parts[0])
     hi = _parse_float(f"{key} hi", parts[1])
     steps = _parse_int(f"{key} steps", parts[2])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi or steps < 2:
-        raise UsageError(f"{key} requires finite lo < hi and steps >= 2")
+    if not (math.isfinite(lo) and lo < hi < math.inf and 2 <= steps < _MAX_LEN):
+        raise UsageError(f"{key} requires finite lo < hi and 2 <= steps < {_MAX_LEN}")
     return (lo, hi, steps)
 
 
@@ -575,8 +576,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -13,7 +13,9 @@ The boundary parametrization maps x in (0, 1/sqrt(3)) to the attainable
 first two coefficient moduli
 
     a(x)      = (3 sqrt(3)/2) x (1 - x^2)        (= |b_1|, increasing in x)
-    b2max(x)  = (3 sqrt(3)/4) (1 - 3 x^2)(1 - x^2)  (= extremal |b_2|).
+    b2max(x)  = (3 sqrt(3)/4) (1 - 3 x^2)(1 - x^2)  (= extremal |b_2|);
+
+x = (2/sqrt(3)) sin(phi) turns a(x) into sin(3 phi), which ``x_of_a`` inverts.
 
 Nothing here probes membership in the class {|F'(z)| <= 1/(1-|z|^2)}
 numerically: the sampled test functions are built by Schwarz composition,
@@ -22,10 +24,11 @@ which preserves membership by construction.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .bounds import R_HI, SQRT3
-from .numerics import bisect
 from .series import KIND_DERIVATIVE, CoefficientSeries
 
 __all__ = [
@@ -74,22 +77,12 @@ def _b2_max_raw(x):
     return 0.75 * SQRT3 * (1.0 - 3.0 * x * x) * (1.0 - x * x)
 
 
-def x_of_a(a: float, tol: float = 1e-14) -> float:
-    """Inverse of ``a_of_x`` on (0, 1), by bisection.
-
-    Monotonicity of a_of_x makes bisection unconditionally convergent; the
-    bracket is tightened until the forward residual |a_of_x(x) - a| is at
-    most ``tol`` (or the bracket hits floating-point resolution).
-    """
+def x_of_a(a: float) -> float:
+    """Inverse of ``a_of_x`` on (0, 1): the root in [0, 1/sqrt(3)] of
+    a_of_x(x) = sin(3 phi) = a at x = (2/sqrt(3)) sin(phi), phi in [0, pi/6]."""
     if not 0.0 < a < 1.0:
         raise ValueError("a must lie in (0, 1)")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    # a_of_x has slope at most 3 sqrt(3)/2 < 2.6, so a bracket of width
-    # tol/2.6 guarantees the forward residual; cap at fp resolution.
-    width = max(tol / 2.6, 4e-17)
-    result = bisect(lambda t: a_of_x(t) - a, 0.0, X_SUP, tol=width, max_iter=200)
-    return result.root
+    return 2.0 / SQRT3 * math.sin(math.asin(a) / 3.0)
 
 
 def _clamp_x(x: float) -> float:

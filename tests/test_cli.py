@@ -649,6 +649,62 @@ class TestScanCommand:
         assert "unknown scan target" in err
 
 
+# The least truncation or step count rejected as too long for a complex128
+# array, and one no C integer can hold.
+_TOO_LONG = (str(np.iinfo(np.intp).max // 16), "99999999999999999999999")
+
+
+def _no_array(*args, **kwargs):
+    raise AssertionError("a size reached NumPy")
+
+
+class TestSizes:
+    """A size beyond NumPy's arrays is a usage error, and an allocation that
+    fails is an error, never a traceback.  Nothing here allocates."""
+
+    @pytest.mark.parametrize("size", _TOO_LONG)
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--truncation", "{}"),
+            ("verify", "--grid", "0.001:0.5:{}"),
+            ("table", "--bounds", "basic", "--grid", "0:0.5:{}"),
+            ("scan", "--target", "problem1", "--grid", "0.37:0.42:{}"),
+        ],
+    )
+    def test_unrepresentable_size_exits_2(self, capsys, monkeypatch, argv, size):
+        monkeypatch.setattr(cli, "run_suite", _no_array)
+        monkeypatch.setattr(np, "linspace", _no_array)
+        rc, out, err = run_cli(capsys, *(a.format(size) for a in argv))
+        assert (rc, out) == (2, "")
+        assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("size", _TOO_LONG)
+    def test_scan_grid_rejects_unrepresentable_sizes(self, size):
+        with pytest.raises(ValueError):
+            verify.ScanGrid(truncation=int(size))
+        with pytest.raises(ValueError):
+            verify.ScanGrid(x_range=(0.001, 0.5, int(size)))
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB", ""])
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("cmd_verify", ("verify", "--suite", "basic")),
+            ("cmd_table", ("table", "--bounds", "basic")),
+            ("cmd_scan", ("scan", "--target", "problem1")),
+        ],
+    )
+    def test_memory_error_exits_1(self, capsys, monkeypatch, command, argv, message):
+        def out_of_memory(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, command, out_of_memory)
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, out) == (1, "")
+        assert err == f"error: {message or 'out of memory'}\n"
+
+
 class TestClosedStdout:
     # ``blochsums scan ... | head -1``: the reader goes before the command
     # writes.  Unbuffered, the first print meets the closed pipe; buffered,

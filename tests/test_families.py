@@ -1,5 +1,6 @@
 """Extremal families: boundary parametrization, monomial members, Moebius majorant."""
 
+import inspect
 import math
 
 import numpy as np
@@ -81,6 +82,20 @@ class TestBoundaryParametrization:
     def test_inverse_round_trip(self):
         for a in (0.05, 0.3, 0.6, 0.75, 0.95, 0.999):
             assert a_of_x(x_of_a(a)) == pytest.approx(a, abs=1e-12)
+
+    @pytest.mark.parametrize("a", (1e-300, 1e-20, 1e-6, 0.6, 0.999))
+    def test_inverse_round_trip_within_two_ulps(self, a):
+        # Relative accuracy at every scale: a search stopped by an absolute
+        # bracket width would return one x for every a below that width.
+        assert abs(a_of_x(x_of_a(a)) - a) <= 2.0 * math.ulp(a)
+
+    def test_inverse_is_the_closed_form(self):
+        assert list(inspect.signature(x_of_a).parameters) == ["a"]
+        for a in (1e-300, 0.3, 0.6, 1.0 - 2.0**-52):
+            phi = math.asin(a) / 3.0
+            assert x_of_a(a) == 2.0 / SQRT3 * math.sin(phi)
+        with pytest.raises(ValueError):
+            x_of_a(math.nan)
 
     @given(st.floats(min_value=1e-3, max_value=0.999))
     @settings(max_examples=50, deadline=None)
