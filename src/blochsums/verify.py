@@ -149,6 +149,11 @@ _X_GRID = np.linspace(X_GUARD, X_SUP - X_GUARD, 1000)
 # domain types
 
 
+def _is_integer(value) -> bool:
+    """True for an int or a NumPy integer, but not for a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SchwarzSpec:
     """Description of a self-map w of the disc with w(0) = 0.
@@ -169,7 +174,7 @@ class SchwarzSpec:
             raise ValueError(f"kind must be one of {_SCHWARZ_KINDS}")
         if not all(math.isfinite(abs(c)) for c in self.parameters):
             raise ValueError("parameters must be finite")
-        if isinstance(self.degree, bool) or not isinstance(self.degree, Integral):
+        if not _is_integer(self.degree):
             raise ValueError("degree must be an integer")
         if self.kind != "monomial" and self.degree != 1:
             raise ValueError(f"{self.kind} takes no degree other than 1")
@@ -230,6 +235,12 @@ class ScanGrid:
 
     def __post_init__(self) -> None:
         lo, hi, steps = self.x_range
+        sizes = (self.truncation, self.seed, self.sample_count, steps)
+        if not all(map(_is_integer, sizes)):
+            raise ValueError(
+                "truncation, seed, sample_count and the x_range step count must "
+                f"be integers, got {sizes}"
+            )
         if not 0.0 <= lo < hi <= X_SUP or not 2 <= steps < _MAX_LEN:
             raise ValueError(
                 "x grid must satisfy 0 <= lo < hi <= 1/sqrt(3) with at least "
@@ -330,36 +341,34 @@ def make_subordinate(
     return CoefficientSeries(coeffs, KIND_DERIVATIVE)
 
 
-def _compose_read(
-    base: CoefficientSeries, spec: SchwarzSpec, n: int, need: Callable
-) -> CoefficientSeries:
-    """``make_subordinate(base, spec, n)`` with the orders above m set to 0:
-    m is the least order >= _N_MAX at which each row's certified tail is
-    below 2^-60 of its sum, or n if none is (or n <= _N_MAX).
-
-    ``need(comp, orders)`` gives the rows' sums over ``comp``, the order
-    _N_MAX composition (lower bounds: the terms are nonnegative), and
-    their tails beyond each of ``orders``, one row per sum.  Entry k of a
-    composition is the same float computation at every order >= k (see
-    ``_compose_horner``), and the zeros keep the sums' length and so
-    their pairwise blocking: the rows keep their bits."""
-    if n <= _N_MAX:
-        return make_subordinate(base, spec, n)
-    comp = make_subordinate(base, spec, _N_MAX)
-    orders = np.arange(_N_MAX, n)
-    sums, tails = need(comp, orders)
-    read = np.all(tails < 2.0**-60 * np.reshape(sums, (-1, 1)), axis=0)
-    m = int(orders[np.argmax(read)]) if read.any() else n
-    if m > _N_MAX:
-        comp = make_subordinate(base, spec, m)
-    return CoefficientSeries(np.pad(comp.coeffs, (0, n - m)), KIND_DERIVATIVE)
+def _sample(
+    base: CoefficientSeries, spec: SchwarzSpec, n: int, sums: Callable, tails: Callable
+) -> Tuple[CoefficientSeries, Sequence[float]]:
+    """``make_subordinate(base, spec, n)`` with the orders above m set to 0,
+    and ``sums`` of it, the rows' sums.  ``tails(orders)`` bounds each row's
+    tail beyond each of ``orders``, one row per sum, and m is the least
+    order >= _N_MAX where each is below 2^-60 of the row's sum over the
+    order _N_MAX composition (a lower bound: the terms are nonnegative); or
+    n if none is, or n <= _N_MAX.  Entry k of a composition is the same
+    float computation at every order >= k (see ``_compose_horner``), and
+    the zeros keep the sums' length and so their pairwise blocking: the
+    rows keep their bits."""
+    comp = make_subordinate(base, spec, min(n, _N_MAX))
+    if n > _N_MAX:
+        orders = np.arange(_N_MAX, n)
+        lower = np.reshape(sums(comp), (-1, 1))
+        tail = np.reshape(tails(orders), (lower.size, -1))
+        read = np.all(tail < 2.0**-60 * lower, axis=0)
+        m = int(orders[np.argmax(read)]) if read.any() else n
+        if m > _N_MAX:
+            comp = make_subordinate(base, spec, m)
+        comp = CoefficientSeries(np.pad(comp.coeffs, (0, n - m)), KIND_DERIVATIVE)
+    return comp, sums(comp)
 
 
 def _prefix_power_sums(s: CoefficientSeries, n_max: int) -> np.ndarray:
     mags = np.abs(s.coeffs[: n_max + 1]) ** 2
-    if mags.size < n_max + 1:
-        mags = np.pad(mags, (0, n_max + 1 - mags.size))
-    return np.cumsum(mags)
+    return np.cumsum(np.pad(mags, (0, n_max + 1 - mags.size)))
 
 
 def _rogosinski_row(
@@ -368,12 +377,13 @@ def _rogosinski_row(
     params: Dict[str, float],
     f: CoefficientSeries,
     g: CoefficientSeries,
-    n_max: int,
+    n: int,
 ) -> BoundEvaluation:
-    """Row for the largest prefix excess max_n (sum |f_k|^2 - sum |g_k|^2)
-    <= 0 over n <= n_max, its n recorded under "n"."""
-    diff = _prefix_power_sums(f, n_max) - _prefix_power_sums(g, n_max)
-    return _grid_max(bound_id, instance_id, params, "n", range(n_max + 1), diff)
+    """Row for the largest prefix excess max_k (sum |f_j|^2 - sum |g_j|^2)
+    <= 0 over k <= min(n, _N_MAX), its k recorded under "n"."""
+    n = min(n, _N_MAX)
+    diff = _prefix_power_sums(f, n) - _prefix_power_sums(g, n)
+    return _grid_max(bound_id, instance_id, params, "n", range(n + 1), diff)
 
 
 # ---------------------------------------------------------------------------
@@ -500,33 +510,30 @@ def verify_thm1(x: float, r: float, grid: ScanGrid) -> List[BoundEvaluation]:
         )
     n = grid.truncation
     g = g_prime_coeffs(x, n)
-    gf = integrate_series(g, 0.0)
     # Per bound: the power p of its k^p r^{2k} weight and its closed form.
     claims = (("thm1_B", 2, bound_thm1_B(x, r)), ("thm1_B2", 1, bound_thm1_B2(x, r)))
+
+    def sums(s):
+        f = integrate_series(s, 0.0)
+        return [weighted_power_sum(f, p, r, "r2k") for _, p, _ in claims]
+
+    def tails(orders):
+        return np.array([_class_tail(orders, r, p) for _, p, _ in claims])
+
     params = {"x": x, "r": r}
     instances: List[BoundEvaluation] = []
-    for bid, p, rhs in claims:
-        lhs = weighted_power_sum(gf, p, r, "r2k")
+    for (bid, p, rhs), lhs in zip(claims, sums(g)):
         tail = tail_majorant_extremal(x, r, p, n)
         instances += _pair(bid, "equality", params, lhs, rhs, tail)
 
-    def need(comp, orders):
-        comp_f = integrate_series(comp, 0.0)
-        sums = [weighted_power_sum(comp_f, p, r, "r2k") for _, p, _ in claims]
-        return sums, np.array([_class_tail(orders, r, p) for _, p, _ in claims])
-
     rng = np.random.default_rng((grid.seed, int(round(x * 1e6))))
-    n_max = min(_N_MAX, n)
     for i in range(grid.sample_count):
-        spec = _random_schwarz(rng)
-        comp = _compose_read(g, spec, n, need)
-        comp_f = integrate_series(comp, 0.0)
+        comp, lhs = _sample(g, _random_schwarz(rng), n, sums, tails)
         sample_params = {"x": x, "r": r, "sample": float(i)}
-        for bid, p, rhs in claims:
-            lhs = weighted_power_sum(comp_f, p, r, "r2k")
-            instances.append(BoundEvaluation(bid, f"sample{i:03d}", sample_params, lhs, rhs))
+        for (bid, _, rhs), value in zip(claims, lhs):
+            instances.append(BoundEvaluation(bid, f"sample{i:03d}", sample_params, value, rhs))
         instances.append(
-            _rogosinski_row("thm1_B", f"rogosinski{i:03d}", sample_params, comp, g, n_max)
+            _rogosinski_row("thm1_B", f"rogosinski{i:03d}", sample_params, comp, g, n)
         )
     return instances
 
@@ -563,21 +570,14 @@ def _thm2_rows(r: float) -> List[BoundEvaluation]:
     xs = _X_GRID
     quad = _thm2_quadratic(xs, r2)
     sextic = _thm2_sextic(xs, r2)
-    rhs = 27.0 * r2 / 4.0
-    identity_dev = np.abs(
-        (quad - rhs) - (27.0 / 4.0) * (1.0 - 3.0 * r2) * xs * xs * sextic
-    )
+    scale = bounds.RHS_SCALE["thm2"]
+    rhs = scale * r2
+    identity_dev = np.abs((quad - rhs) - scale * (1.0 - 3.0 * r2) * xs * xs * sextic)
 
     instances = [
         _grid_max("thm2", "quadratic_form", {"r": r}, "x", xs, quad, rhs),
         _grid_max("thm2", "sextic_sign", {"r": r}, "x", xs, sextic),
-        _budget(
-            "thm2",
-            "identity",
-            {"r": r},
-            float(np.max(identity_dev)),
-            1e-12,
-        ),
+        _budget("thm2", "identity", {"r": r}, float(np.max(identity_dev)), 1e-12),
     ]
     if abs(r - THM2_R_LO) < bounds._EDGE:
         factored = (1.0 / 15.0) * (3.0 * xs * xs - 1.0) ** 2 * (4.0 * xs * xs - 5.0)
@@ -650,7 +650,7 @@ def _thm3_quadratic(x: float) -> float:
         b1 * b1
         + 4.0 * b2 * b2 * r2
         + 9.0 * r2 * r2 * ((1.5 - b1) ** 2 - (4.0 / 3.0) * b2 * b2)
-        - 27.0 * r2 / 4.0
+        - bounds.RHS_SCALE["thm3"] * r2
     )
 
 
@@ -1077,30 +1077,26 @@ def _suite_cor1(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluati
                 1e-6,
             )
         )
-    n_max = min(_N_MAX, n)
     for i in range(max(5, grid.sample_count // 2)):
         a = float(rng.uniform(0.15, 0.9))
         r = float(rng.uniform(0.1, R_HI))
         h = h_series(a, n)
         spec = _random_schwarz(rng)
         zeros = spec.parameters if spec.kind == "blaschke_product" else ()
-
-        def need(comp, orders):
-            tails = _cor1_class_tail(orders, a, r, spec.degree, zeros)
-            return [_phi_weighted_functional(comp, r)], tails[None]
-
-        phi = _compose_read(h, spec, n, need)
+        sums = lambda comp: [_phi_weighted_functional(comp, r)]
+        tails = lambda orders: _cor1_class_tail(orders, a, r, spec.degree, zeros)
+        phi, (lhs,) = _sample(h, spec, n, sums, tails)
         instances.append(
             BoundEvaluation(
                 "cor1",
                 f"sample{i:02d}",
                 {"a": a, "r": r, "sample": float(i)},
-                _phi_weighted_functional(phi, r),
+                lhs,
                 bound_cor1(a, r),
             )
         )
         instances.append(
-            _rogosinski_row("cor1", f"rogosinski{i:02d}", {"a": a}, phi, h, n_max)
+            _rogosinski_row("cor1", f"rogosinski{i:02d}", {"a": a}, phi, h, n)
         )
     return instances
 

@@ -4,9 +4,10 @@ equal the golden files committed under ``tests/golden/``.
 Each case runs the CLI in process, writes its reports or CSV into a fresh
 directory and captures stdout and the exit status.  On a mismatch the test
 names every moved row, its column and the value before and after.  The bytes
-depend on NumPy's ``convolve`` and on the C library's ``pow``/``log``, so the
-Python and NumPy versions that made the files are stored beside them, and a
-failure under other versions says so.
+depend on NumPy's ``convolve`` and on the C library's ``pow``/``log``, and
+the composed samples' bytes on the OpenBLAS kernel and NumPy's SIMD level,
+so the Python and NumPy versions and the kernels that made the files are
+stored beside them, and a failure names both sides'.
 
 A change that moves bytes on purpose regenerates the files with
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import io
 import json
 import math
@@ -89,8 +91,28 @@ CASES: Dict[str, List[str]] = {
 }
 
 
+def _openblas_core() -> str:
+    """The core OpenBLAS picked for this CPU, from the OpenBLAS that NumPy
+    bundles, or "unknown" where that library or its symbol is missing."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("libscipy_openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def _versions() -> Dict[str, str]:
-    return {"python": platform.python_version(), "numpy": np.__version__}
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "openblas_core": _openblas_core(),
+        "numpy_simd": " ".join(simd),
+    }
 
 
 def run_case(name: str) -> Dict[str, str]:
@@ -181,9 +203,7 @@ def test_outputs_equal_the_golden_files(case):
     moved = moved_files(_golden(case), run_case(case))
     if moved:
         made = json.loads(VERSIONS.read_text(encoding="utf-8"))
-        note = ""
-        if made != _versions():
-            note = f"\ngolden files made under {made}; this run: {_versions()}"
+        note = f"\ngolden files made under {made}; this run: {_versions()}"
         pytest.fail(f"{case}: {len(moved)} moved\n" + "\n".join(moved) + note)
 
 
@@ -199,7 +219,8 @@ def test_golden_reports_have_unique_instance_ids():
 
 
 def test_versions_file_names_python_and_numpy():
-    assert set(json.loads(VERSIONS.read_text(encoding="utf-8"))) == {"python", "numpy"}
+    made = json.loads(VERSIONS.read_text(encoding="utf-8"))
+    assert set(made) == {"python", "numpy", "openblas_core", "numpy_simd"}
 
 
 def regenerate() -> None:

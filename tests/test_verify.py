@@ -37,7 +37,6 @@ from blochsums.verify import (
     _FAMILY_LHS,
     _N_MAX,
     _THM1_XS,
-    _compose_read,
     _cor2_h,
     _cor2_reduced,
     _cor2_rows,
@@ -46,6 +45,7 @@ from blochsums.verify import (
     _random_bloch_prime,
     _random_schwarz,
     _rogosinski_row,
+    _sample,
     _suite_prop1,
     _thm1_B2_quadrature,
     _thm2_quadratic,
@@ -225,14 +225,15 @@ def _zeros(spec):
 
 class TestCertifiedComposition:
     """The suites compose each sample only to the order m its rows read
-    (``_compose_read``): the result must be the order-n composition's
-    entries 0..m bit for bit, zeros above, and the class-wide tails that
-    choose m must cover what the orders above m add."""
+    (``_sample``): the result must be the order-n composition's entries
+    0..m bit for bit, zeros above, and the class-wide tails that choose m
+    must cover what the orders above m add."""
 
     @staticmethod
-    def read_at(m):
-        # A ``need`` whose tails certify exactly the orders >= m.
-        return lambda comp, orders: ([1.0], np.where(orders >= m, 0.0, np.inf)[None])
+    def read_at(base, spec, n, m):
+        # ``_sample`` with one row, whose tails certify exactly the orders >= m.
+        tails = lambda orders: np.where(orders >= m, 0.0, np.inf)
+        return _sample(base, spec, n, lambda comp: [1.0], tails)[0]
 
     @pytest.mark.parametrize("n", [130, 256, 384])
     def test_padded_order_m_has_the_bits_of_order_n(self, n):
@@ -257,7 +258,7 @@ class TestCertifiedComposition:
             for spec in specs:
                 full = make_subordinate(base, spec, n).coeffs
                 for m in (_N_MAX, (_N_MAX + n) // 2, n):
-                    got = _compose_read(base, spec, n, self.read_at(m)).coeffs
+                    got = self.read_at(base, spec, n, m).coeffs
                     assert got.shape == (n + 1,)
                     assert np.array_equal(
                         got[: m + 1].view(np.uint64), full[: m + 1].view(np.uint64)
@@ -1078,9 +1079,22 @@ class TestSuiteRunners:
             dict(r_values=(math.nan,)),
             dict(r_values=()),
             dict(seed=-1),
+            # sizes must be integers: bools and floats ended in a TypeError
+            # mid-run, or (prop1's sample_count) were silently rounded down
+            dict(truncation=64.5),
+            dict(truncation=True),
+            dict(seed=1.5),
+            dict(seed=True),
+            dict(sample_count=20.5),
+            dict(sample_count=True),
+            dict(x_range=(0.1, 0.5, 10.5)),
+            dict(x_range=(0.1, 0.5, 10.0)),
         ):
             with pytest.raises(ValueError):
                 ScanGrid(**bad)
+        # NumPy integers are integers.
+        sizes = dict(truncation=np.int64(64), seed=np.int32(3), sample_count=np.int64(5))
+        assert ScanGrid(x_range=(0.1, 0.5, np.int64(10)), **sizes).truncation == 64
         # 1/sqrt(3), the end of the thm5 replay's admissible radii, is valid.
         assert ScanGrid(r_values=(R_HI,)).r_values == (R_HI,)
 
