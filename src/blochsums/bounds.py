@@ -212,7 +212,8 @@ def _thm1_B_raw(x, r):
 
 def _thm1_B2_raw(x, r):
     """Family area sum (weight k r^{2k}) as a closed form, no interval gate;
-    x or r a float or an array, as for ``_thm1_B_raw``."""
+    x or r a float or an array, as for ``_thm1_B_raw``, or r complex (the
+    form is + - * / and integer powers, analytic in r)."""
     x2 = x * x
     r2 = r * r
     one_m_x2 = 1.0 - x2

@@ -390,7 +390,7 @@ def _check_prop1_order(x: float) -> None:
     try:
         bound_prop1(int(x), 0.0)
     except OverflowError:
-        raise UsageError(f"prop1's constant overflows for n = {int(x)}") from None
+        raise UsageError(f"prop1's constant overflows for n = {x!r}") from None
 
 
 def cmd_table(

@@ -7,15 +7,15 @@ the same way ``golden_max`` takes a float bracket or an array of brackets,
 whose searches run in lockstep, and so does its refined form
 ``_grid_refined_max`` (a grid, then golden around its largest node), the
 one way the package takes a maximum over an interval.  The trapezoid adds
-its node values left to right in ``_trapezoid_sum``, which ``trapezoid``
-and callers that evaluate the nodes in one array call share.
+its node values left to right; no suite calls it (the circle means of
+``series`` take their own rule, exact on trigonometric polynomials).
 
 Everything here is pure and deterministic.  Bisection is preferred wherever
 a bracket exists because its convergence is unconditional, and none of the
 objectives in this package is expensive enough to justify derivative-based
-methods.  Quadrature is a plain composite trapezoid rule: the integrands we
-meet are either smooth on the closed interval or trigonometric polynomials,
-for which the rule is exact rather than approximate.
+methods.  Quadrature is a plain composite trapezoid rule, meant for
+integrands smooth on the closed interval or trigonometric polynomials, for
+which the rule is exact rather than approximate.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 from numpy import ndarray
@@ -315,21 +315,16 @@ def trapezoid(
     For smooth integrands the error scales as O(m^-2); for trigonometric
     polynomials sampled over a full period the rule is exact once the node
     count exceeds the polynomial degree.  The node values are added left to
-    right, the end nodes' half-sum first.
+    right, the end nodes' half-sum first; the order is part of the result's
+    bits, since ``np.sum`` and ``math.fsum`` add in another order and round
+    differently.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
     if not math.isfinite(lo) or not math.isfinite(hi):
         raise ValueError("integration limits must be finite")
     h = (hi - lo) / m
-    return _trapezoid_sum(f(lo), f(hi), (f(lo + i * h) for i in range(1, m)), h)
-
-
-def _trapezoid_sum(f_lo: float, f_hi: float, inner: Iterable[float], h: float) -> float:
-    """h ((f_lo + f_hi)/2 + the inner node values added left to right).  The
-    order is part of the result's bits: ``np.sum`` and ``math.fsum`` add in
-    another order and round differently."""
-    total = 0.5 * (f_lo + f_hi)
-    for v in inner:
-        total += v
+    total = 0.5 * (f(lo) + f(hi))
+    for i in range(1, m):
+        total += f(lo + i * h)
     return total * h

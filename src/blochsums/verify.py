@@ -68,7 +68,6 @@ from .numerics import (
     _grid_refined_max,
     _log1m_tail,
     _pow,
-    _trapezoid_sum,
     bisect,
     sign_changes,
 )
@@ -143,6 +142,10 @@ _SQRT65 = math.sqrt(65.0)
 
 # The x grid on which thm2 and thm3 take their maxima.
 _X_GRID = np.linspace(X_GUARD, X_SUP - X_GUARD, 1000)
+
+# F = (3 sqrt(3)/4) z^2, a class member with b_1 = 0 (so thm5's factor
+# 1 - |b_1|^2 is 1) whose sums are thm2's and thm5's quartics at every r.
+_SHARP_Z2 = integrate_series(f_n_prime(1))
 
 
 # ---------------------------------------------------------------------------
@@ -561,10 +564,17 @@ def _thm2_sextic(x, r2: float):
     )
 
 
+def _sharp_z2(bound_id: str, p: int, r: float, row_id: str) -> List[BoundEvaluation]:
+    """Equality of z^2's sum of k^p |b_k|^2 r^2k and the quartic at r."""
+    lhs = weighted_power_sum(_SHARP_Z2, p, r)
+    return _pair(bound_id, row_id, {"r": r}, lhs, bounds._thm_rhs_raw(bound_id, r))
+
+
 def _thm2_rows(r: float) -> List[BoundEvaluation]:
     """Quadratic-form bound at radius r on a 1000-point x grid: the form
-    against 27 r^2/4, the sextic's sign, the identity joining the two, and at
-    the ends the factorization (lower) and the all-x equality (upper)."""
+    against 27 r^2/4, the sextic's sign, the identity joining the two, the
+    z^2 equality, and at the ends the factorization (lower) and the all-x
+    equality (upper)."""
     bounds._check_thm_interval("thm2", r)
     r2 = r * r
     xs = _X_GRID
@@ -578,6 +588,7 @@ def _thm2_rows(r: float) -> List[BoundEvaluation]:
         _grid_max("thm2", "quadratic_form", {"r": r}, "x", xs, quad, rhs),
         _grid_max("thm2", "sextic_sign", {"r": r}, "x", xs, sextic),
         _budget("thm2", "identity", {"r": r}, float(np.max(identity_dev)), 1e-12),
+        *_sharp_z2("thm2", 2, r, "sharp/z2"),
     ]
     if abs(r - THM2_R_LO) < bounds._EDGE:
         factored = (1.0 / 15.0) * (3.0 * xs * xs - 1.0) ** 2 * (4.0 * xs * xs - 5.0)
@@ -935,14 +946,13 @@ def _suite_basic(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluat
             total,
             bound_basic(rn),
         )
-    f1 = integrate_series(f_n_prime(1), 0.0)
     for r in (0.2, 0.4, r_star(1)):
         instances.append(
             BoundEvaluation(
                 "basic",
                 f"envelope/{_radius_label(r)}",
                 {"r": r},
-                weighted_power_sum(f1, 2, r, "r2k_minus_2"),
+                weighted_power_sum(_SHARP_Z2, 2, r, "r2k_minus_2"),
                 bound_basic(r),
             )
         )
@@ -1013,33 +1023,19 @@ def _thm1_rows(
     return shared["thm1"]
 
 
-def _thm1_B2_quadrature(x: float, r: float) -> float:
-    """The integral of B(x, sqrt(u))/u over [0, r^2] by a 4096-subinterval
-    trapezoid.  Its nodes i h (i = 1 .. 4095) and its upper end r^2 are
-    valued in one array call, each with the bits of a scalar call, and
-    ``_trapezoid_sum`` adds them in ``trapezoid``'s order; at u = 0 the
-    integrand is its limit a(x)^2."""
-    hi = r * r
-    h = hi / 4096
-    us = np.append(np.arange(1, 4096) * h, hi)
-    vals = (bounds._thm1_B_raw(x, np.sqrt(us)) / us).tolist()
-    return _trapezoid_sum(a_of_x(x) ** 2, vals[-1], vals[:-1], h)
-
-
 def _suite_thm1_B2(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluation]:
+    """The thm1 rows of B2, and Theorem 1's B2 = the integral of
+    B(x, sqrt(u))/u over [0, r^2] in its derivative form (r/2) dB2/dr = B
+    (B2 vanishes at r = 0), by the complex step Im B2(x, r + ih)/h, which
+    has no difference to cancel (Squire and Trapp 1998)."""
     instances = list(_thm1_rows(grid, shared)["thm1_B2"])
     for x in (0.05, 0.1, 0.15, 0.2, 0.25):
         for frac in (0.5, 0.7, 0.9, 1.0):
             r = frac * r_admissible(x)
-            instances.append(
-                _budget(
-                    "thm1_B2",
-                    f"integral/x={x:.2f}/f={frac:.1f}",
-                    {"x": x, "r": r},
-                    _thm1_B2_quadrature(x, r) - bound_thm1_B2(x, r),
-                    1e-8,
-                )
-            )
+            slope = bounds._thm1_B2_raw(x, complex(r, 1e-30)).imag / 1e-30
+            dev = 0.5 * r * slope - bound_thm1_B(x, r)
+            row_id = f"derivative/x={x:.2f}/f={frac:.1f}"
+            instances.append(_budget("thm1_B2", row_id, {"x": x, "r": r}, dev, 1e-12))
     return instances
 
 
@@ -1102,8 +1098,8 @@ def _suite_cor1(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluati
 
 
 def _suite_thm5(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluation]:
-    """The thm5 replay: the proof's rows that hold for every radius once,
-    then ``_thm5_rows`` at R, or at each of ``grid.r_values`` under an
+    """The thm5 replay: the rows that do not depend on the replayed radii
+    once, then ``_thm5_rows`` at R, or at each of ``grid.r_values`` under an
     ``r=.../`` prefix."""
     # Case 1: the hypothesis a <= 3/5 confines x below 1/4, where the
     # admissible radius stays above 0.38 and hence above the threshold; at
@@ -1128,6 +1124,8 @@ def _suite_thm5(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluati
     # Ring: the whole family at the upper end (the maximum principle).
     peak_hi, x_hi = _family_peak(_thm5_family_lhs, R_HI, grid)
     instances.append(_scan_row("thm5", R_HI, peak_hi, x_hi, "ring/upper"))
+    for r in (R_THM5, R_HI):  # equality at z^2 at both ends of the interval
+        instances += _sharp_z2("thm5", 1, r, f"sharp/z2/{_radius_label(r)}")
     if grid.r_values is None:
         return instances + _thm5_rows(R_THM5, _thm5_searches(R_THM5, grid))
     # Each search once, in lockstep over all radii; the rows, one radius at

@@ -519,6 +519,14 @@ class TestTableCommand:
         assert err.startswith("usage error:")
         assert out == ""
 
+    def test_overflowing_prop1_order_echoes_the_value_given(self, capsys):
+        rc, out, err = run_cli(
+            capsys, "table", "--bounds", "prop1", "--x", "1e300", "--grid", "0:0.5:3"
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == "usage error: prop1's constant overflows for n = 1e+300\n"
+
     @pytest.mark.parametrize("x", ["3", "3.0", "141"])
     def test_prop1_rows_for_integral_x(self, capsys, x):
         rc, out, _ = run_cli(

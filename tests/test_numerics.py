@@ -203,7 +203,7 @@ class TestTrapezoid:
 
     def test_adds_the_node_values_left_to_right(self):
         # The scalar loop is the oracle: np.sum and math.fsum add in another
-        # order and change the last bits, and the thm1_B2 rows share the sum.
+        # order and change the last bits.
         def loop(f, lo, hi, m):
             h = (hi - lo) / m
             total = 0.5 * (f(lo) + f(hi))

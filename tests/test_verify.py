@@ -47,7 +47,6 @@ from blochsums.verify import (
     _rogosinski_row,
     _sample,
     _suite_prop1,
-    _thm1_B2_quadrature,
     _thm2_quadratic,
     _thm2_rows,
     _thm2_sextic,
@@ -396,6 +395,35 @@ class TestTheoremSuites:
     def test_thm2_radii(self, r):
         assert _all_pass(_thm2_rows(r))
 
+    def test_sharp_z2_pairs_meet_the_declared_quartics(self, light_grid):
+        # F = (3 sqrt(3)/4) z^2 attains thm2's (27/4) r^4 and thm5's
+        # (27/8) r^4: an equality pair at thm2's three radii and at thm5's R
+        # and 1/sqrt(3), each side within an ulp or so of thm_rhs.
+        rows = [
+            i
+            for suite in ("thm2", "thm5")
+            for i in run_suite(suite, light_grid).instances
+            if "sharp/z2" in i.instance_id
+        ]
+        radii = {"thm2": (THM2_R_LO, 0.55, R_HI), "thm5": (R_THM5, R_HI)}
+        assert [(i.bound_id, i.params["r"]) for i in rows[::2]] == [
+            (b, r) for b, rs in radii.items() for r in rs
+        ]
+        for row in rows:
+            rhs = bounds.thm_rhs(row.bound_id, row.params["r"])
+            assert row.passes(1e-15), row.instance_id
+            assert abs(row.rhs - rhs) <= 1e-15 * rhs, row.instance_id
+
+    @pytest.mark.parametrize("truncation", (8, 48, 256))
+    def test_thm1_B2_derivative_rows(self, truncation):
+        # (r/2) dB2/dr = B at the 20 nodes, each row within 1e-15 of exact,
+        # whatever the truncation (the closed forms take none).
+        report = run_suite("thm1_B2", ScanGrid(truncation=truncation, sample_count=3))
+        rows = [i for i in report.instances if i.instance_id.startswith("derivative/")]
+        assert len(rows) == 20
+        assert max(i.lhs for i in rows) <= 1e-15
+        assert not any(i.instance_id.startswith("integral/") for i in report.instances)
+
     def test_thm2_interval_gate(self):
         with pytest.raises(ValueError):
             _thm2_rows(0.4)
@@ -557,13 +585,14 @@ _THM5_FIXED_IDS = (
     "case1/admissible_floor",
     *(f"case1/decimal{j}" for j in range(6)),
     "ring/upper",
+    *(f"sharp/z2/r={r:.6f}/{side}" for r in (R_THM5, R_HI) for side in ("le", "ge")),
 )
 
 
 class TestArrayClosedForms:
     """A closed form called with an array of x (or a) must give, element by
-    element, the bits of its scalar calls, with Python floats (golden search,
-    the trapezoid) and with NumPy scalars (a loop over a grid).  NumPy's
+    element, the bits of its scalar calls, with Python floats (golden search)
+    and with NumPy scalars (a loop over a grid).  NumPy's
     vector ``**`` would not: it rounds some powers differently."""
 
     @pytest.mark.parametrize(
@@ -827,24 +856,6 @@ class TestFamilyGridOracles:
         assert np.array_equal(got, _bits(*_cor2_grid_oracle()))
 
 
-def _thm1_B2_trapezoid_oracle(x, r):
-    """The thm1_B2 quadrature as the scalar loop it replaced: one
-    ``_thm1_B_raw`` call per node, added left to right."""
-    a2 = a_of_x(x) ** 2
-
-    def integrand(u):
-        if u == 0.0:
-            return a2
-        return bounds._thm1_B_raw(x, math.sqrt(u)) / u
-
-    lo, hi, m = 0.0, r * r, 4096
-    h = (hi - lo) / m
-    total = 0.5 * (integrand(lo) + integrand(hi))
-    for i in range(1, m):
-        total += integrand(lo + i * h)
-    return total * h
-
-
 def _thm2_quadratic_oracle(x, r2):
     a = a_of_x(x)
     b2 = b2_max(x)
@@ -870,34 +881,15 @@ def _cor2_reduced_oracle(v):
 
 
 class TestScalarLoopOracles:
-    """The quadrature and the thm2, thm3 and cor2 grids are array calls; the
-    scalar loops they replaced, kept here, must give the same bits, with
-    NumPy scalars (the loops over grids) and with Python floats."""
+    """The thm2, thm3 and cor2 grids are array calls; the scalar loops they
+    replaced, kept here, must give the same bits, with NumPy scalars (the
+    loops over grids) and with Python floats."""
 
     @staticmethod
     def _assert_loop_bits(got, form, nodes, *args):
         for points in (nodes, nodes.tolist()):
             want = np.array([form(v, *args) for v in points])
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), args
-
-    def test_thm1_B2_integral_rows(self, light_grid):
-        rows = [
-            i
-            for i in run_suite("thm1_B2", light_grid).instances
-            if i.instance_id.startswith("integral/")
-        ]
-        assert len(rows) == 20
-        for row in rows:
-            x, r = row.params["x"], row.params["r"]
-            want = abs(_thm1_B2_trapezoid_oracle(x, r) - bounds.bound_thm1_B2(x, r))
-            assert _bits(row.lhs) == _bits(want), row.instance_id
-
-    def test_thm1_B2_quadrature_on_a_wider_grid(self):
-        for x in np.linspace(0.01, R_HI - 0.01, 9).tolist():
-            for frac in (0.1, 0.3, 0.6, 0.8, 0.95, 1.0):
-                r = frac * r_admissible(x)
-                got = _thm1_B2_quadrature(x, r)
-                assert _bits(got) == _bits(_thm1_B2_trapezoid_oracle(x, r)), (x, r)
 
     @pytest.mark.parametrize("r", (THM2_R_LO, 0.55, R_HI))
     def test_thm2_grid(self, r):
@@ -921,7 +913,8 @@ class TestScalarLoopOracles:
 
 class TestNoPerPointLoops:
     """Structural guards, with no timing: the grids above stay array calls,
-    and the golden searches over many radii one lockstep search."""
+    the golden searches over many radii one lockstep search, and the
+    compositions stop at the orders their rows read."""
 
     @staticmethod
     def count_golden(monkeypatch):
@@ -990,20 +983,6 @@ class TestNoPerPointLoops:
         grid = ScanGrid(sample_count=10, truncation=truncation)
         for suite in ("prop1", "thm1_B", "thm1_B2", "cor1"):
             run_suite(suite, grid)
-
-    def test_thm1_B2_values_each_trapezoid_in_one_call(self, monkeypatch, light_grid):
-        raw = bounds._thm1_B_raw
-        calls = []
-
-        def counted(x, r):
-            calls.append(np.size(r))
-            return raw(x, r)
-
-        monkeypatch.setattr(bounds, "_thm1_B_raw", counted)
-        run_suite("thm1_B2", light_grid)
-        # 20 trapezoids and the 3 thm1 radii; a call per node made 81,923.
-        assert len(calls) <= 50
-        assert sum(calls) >= 20 * 4096
 
     def test_cor2_takes_log1p_only_on_entries_at_or_above_the_cutoff(
         self, default_grid, monkeypatch
