@@ -465,12 +465,12 @@ def cmd_scan(
     _emit("\n".join(lines) + "\n", out_path)
 
     crossing = None
-    for i in range(len(radii) - 1):
+    for i in range(len(radii)):
         # Below r ~ 1e-162 peak and bound underflow to 0: no crossing.
         if slacks[i] == 0.0 and rows[i].rhs > 0.0:
             crossing = float(radii[i])
             break
-        if _straddles(slacks[i], slacks[i + 1]):
+        if i + 1 < len(radii) and _straddles(slacks[i], slacks[i + 1]):
             crossing = crossing_radius(
                 bound_id, float(radii[i]), float(radii[i + 1]), grid, tol=1e-12
             ).root

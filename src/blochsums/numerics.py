@@ -6,9 +6,16 @@ closed form written once takes a radius or a whole grid in one call.  In
 the same way ``golden_max`` takes a float bracket or an array of brackets,
 whose searches run in lockstep, and so does its refined form
 ``_grid_refined_max`` (a grid, then golden around its largest node), the
-one way the package takes a maximum over an interval.  The trapezoid adds
-its node values left to right; no suite calls it (the circle means of
-``series`` take their own rule, exact on trigonometric polynomials).
+one way the package takes a maximum over an interval.  A grid searched
+for many rows at once (radii, or cor2's a-rows) goes through
+``_row_peaks``: one call of the closed form per block of rows, on one
+shared grid or one row of nodes per row (``_linspace_rows``), so that each
+row keeps the bits of its own call.  ``_poly_add`` and ``_poly_mul`` are
+``numpy.polynomial``'s polyadd and polymul, bit for bit, for the one
+polynomial the package builds, so that importing it loads no
+``numpy.polynomial``.  The trapezoid adds its node values left to right;
+no suite calls it (the circle means of ``series`` take their own rule,
+exact on trigonometric polynomials).
 
 Everything here is pure and deterministic.  Bisection is preferred wherever
 a bracket exists because its convergence is unconditional, and none of the
@@ -85,6 +92,32 @@ def _pow(v, k: int):
         powers = map(math.pow, v.ravel().tolist(), repeat(float(k)))
         return np.fromiter(powers, np.float64, v.size).reshape(v.shape)
     return v**k
+
+
+def _poly_trim(c: ndarray) -> ndarray:
+    """c without its trailing zeros, or its first element if all are zero
+    (``numpy.polynomial.polyutils.trimseq``)."""
+    nonzero = np.flatnonzero(c)
+    return c[: nonzero[-1] + 1] if nonzero.size else c[:1]
+
+
+def _poly_mul(c1, c2) -> ndarray:
+    """Product of two coefficient sequences, low order first, with the bits
+    of ``numpy.polynomial.polynomial.polymul``: both trimmed, convolved in
+    this order, and the product trimmed."""
+    trimmed = (_poly_trim(np.asarray(c, dtype=np.float64)) for c in (c1, c2))
+    return _poly_trim(np.convolve(*trimmed))
+
+
+def _poly_add(c1, c2) -> ndarray:
+    """c1 + c2 with the bits of ``numpy.polynomial.polynomial.polyadd``:
+    both trimmed, the shorter added into the first entries of the longer,
+    and the sum trimmed.  polysub(c1, c2) is _poly_add(c1, -c2), since
+    x - y and x + (-y) round alike."""
+    c1, c2 = (_poly_trim(np.array(c, dtype=np.float64)) for c in (c1, c2))
+    out, short = (c1, c2) if c1.size > c2.size else (c2, c1)
+    out[: short.size] += short
+    return _poly_trim(out)
 
 
 @dataclass(frozen=True)
@@ -274,8 +307,8 @@ def _grid_refined_max(form: Callable, xs: ndarray, p, *params):
     a float or an array x.
 
     p and the params are floats, or arrays with one element per search for
-    arrays of both: each grid is still evaluated in one call per element,
-    and the searches run in lockstep."""
+    arrays of both: then the grid is evaluated for a block of searches per
+    call (``_row_peaks``), and the searches run in lockstep."""
     if type(p) is not ndarray:
         best, at, lo, hi = _grid_peak(form(xs, p, *params), xs)
         if lo < hi:
@@ -283,9 +316,9 @@ def _grid_refined_max(form: Callable, xs: ndarray, p, *params):
             if val > best:
                 return val, arg
         return best, at
-    each = zip(*(q.tolist() for q in (p, *params)))
-    peaks = [_grid_peak(form(xs, *pk), xs) for pk in each]
-    best, at, lo, hi = (np.array(column) for column in zip(*peaks))
+    best, i = _row_peaks(form, xs, p, *params)
+    at = xs[i]
+    lo, hi = xs[np.maximum(i - 1, 0)], xs[np.minimum(i + 1, xs.size - 1)]
     refine = np.flatnonzero(lo < hi)
     if refine.size:
         ps = [q[refine] for q in (p, *params)]
@@ -302,6 +335,44 @@ def _grid_peak(vals: ndarray, xs: ndarray):
     i = int(np.argmax(vals))
     lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
     return float(vals[i]), float(xs[i]), float(lo), float(hi)
+
+
+# Grid cells per form call in ``_row_peaks``: 32 rows of a 400-node grid,
+# so that the per-element lists of ``_pow`` and ``_log1m_tail`` stay near
+# 10k floats and no call holds a whole many-row grid's temporaries.
+_BLOCK_CELLS = 32 * 400
+
+
+def _row_peaks(form: Callable, nodes: ndarray, *params: ndarray):
+    """For each row k the first largest of form(nodes_k, *params_k), as
+    arrays (values, indices into the row's nodes).  nodes is one 1-D grid
+    shared by every row, or a 2-D array with one row of nodes per row; each
+    param is an array with one element per row.  form is called once per
+    block of ``_BLOCK_CELLS // width`` rows, on the block's nodes and its
+    params as columns; a form that gives each element the bits of its scalar
+    call gives each row the bits of a row-at-a-time scan."""
+    rows = params[0].size
+    step = max(1, _BLOCK_CELLS // nodes.shape[-1])
+    best = np.empty(rows)
+    index = np.empty(rows, dtype=np.intp)
+    for i in range(0, rows, step):
+        block = slice(i, i + step)
+        at = nodes if nodes.ndim == 1 else nodes[block]
+        vals = form(at, *(q[block, None] for q in params))
+        index[block] = j = np.argmax(vals, axis=1)
+        best[block] = np.take_along_axis(vals, j[:, None], axis=1)[:, 0]
+    return best, index
+
+
+def _linspace_rows(start: float, stops, num: int) -> ndarray:
+    """np.linspace(start, stop, num) for each stop, one row per stop, each
+    with the bits of its own call.  ``np.linspace`` with an array stop takes
+    another formula for every row once any row's step is 0, so such a set
+    of stops goes one call per row."""
+    stops = np.asarray(stops, dtype=np.float64)
+    if np.any((stops - start) / (num - 1) == 0.0):
+        return np.array([np.linspace(start, s, num) for s in stops.tolist()])
+    return np.linspace(start, stops, num, axis=1)
 
 
 def trapezoid(

@@ -35,7 +35,6 @@ from numbers import Integral
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from . import bounds
 from .bounds import (
@@ -66,8 +65,13 @@ from .families import (
 )
 from .numerics import (
     _grid_refined_max,
+    _linspace_rows,
     _log1m_tail,
+    _poly_add,
+    _poly_mul,
+    _poly_trim,
     _pow,
+    _row_peaks,
     bisect,
     sign_changes,
 )
@@ -700,7 +704,7 @@ def _thm3_rows() -> List[BoundEvaluation]:
 def _cor2_h(a: float, w):
     """H_a(w); w a float or an array."""
     c = 4.0 * a * a / 9.0
-    return (1.0 - c) ** 2 * _log1m_tail(w) - w * w / 2.0
+    return _pow(1.0 - c, 2) * _log1m_tail(w) - w * w / 2.0
 
 
 def _cor2_reduced(v):
@@ -712,27 +716,15 @@ def _cor2_rows() -> List[BoundEvaluation]:
     """H_a(w) = (1 - 4a^2/9)^2 (-log(1-w) - w) - w^2/2 <= 0 on [0, 4a^2/9]
     (a 200 x 200 grid), its right-endpoint reduction to one variable on
     [0, 4/9] (200 points), and the substitution identity at sampled a."""
-    worst_val = -math.inf
-    worst_at = (0.0, 0.0)
-    # One a-row per array call; a later row must beat the maximum strictly,
-    # so the first maximum in row-major order wins.
-    for a in np.linspace(1e-3, 1.0 - 1e-3, 200):
-        c = 4.0 * a * a / 9.0
-        ws = np.linspace(0.0, c, 200)
-        vals = _cor2_h(a, ws)
-        j = int(np.argmax(vals))
-        if vals[j] > worst_val:
-            worst_val = vals[j]
-            worst_at = (float(a), float(ws[j]))
-    instances = [
-        BoundEvaluation(
-            "cor2",
-            "h_grid",
-            {"a": worst_at[0], "w": worst_at[1]},
-            worst_val,
-            0.0,
-        )
-    ]
+    # A block of a-rows per array call, each row on its own w-nodes; the
+    # first row with the largest row maximum wins, so the first maximum in
+    # row-major order does, as in a strict `>` scan.
+    a_s = np.linspace(1e-3, 1.0 - 1e-3, 200)
+    ws = _linspace_rows(0.0, 4.0 * a_s * a_s / 9.0, 200)
+    vals, j = _row_peaks(lambda w, a: _cor2_h(a, w), ws, a_s)
+    k = int(np.argmax(vals))
+    at = {"a": float(a_s[k]), "w": float(ws[k, j[k]])}
+    instances = [BoundEvaluation("cor2", "h_grid", at, vals[k], 0.0)]
     vs = np.linspace(0.0, 4.0 / 9.0, 200)
     reduced = _cor2_reduced(vs)
     instances.append(_grid_max("cor2", "reduced_grid", {}, "v", vs, reduced))
@@ -781,14 +773,13 @@ def case1_poly_coeffs(r: float = R_THM5) -> np.ndarray:
     and -4 P(y)/y^2 is the degree-5 polynomial whose decimals are checked.
     """
     r2 = r * r
-    a2 = npoly.polymul([0.0, 27.0 / 4.0], npoly.polypow([1.0, -1.0], 2))
-    one_m_a2 = npoly.polysub([1.0], a2)
-    bracket = npoly.polyadd(
-        [0.0, 2.0], npoly.polymul([r2], [1.0, 2.0 * (r2 - 3.0), 1.0])
-    )
-    return npoly.polysub(
-        npoly.polymul(npoly.polymul(one_m_a2, npoly.polypow([1.0, -1.0], 2)), bracket),
-        npoly.polymul([r2], npoly.polypow([1.0, -r2], 4)),
+    sq = np.convolve([1.0, -1.0], [1.0, -1.0])  # (1 - y)^2
+    one_m_a2 = _poly_add([1.0], -_poly_mul([0.0, 27.0 / 4.0], sq))
+    bracket = _poly_add([0.0, 2.0], _poly_mul([r2], [1.0, 2.0 * (r2 - 3.0), 1.0]))
+    c = _poly_trim(np.array([1.0, -r2]))  # (1 - r^2 y)^4, multiplied as polypow does
+    quartic = np.convolve(np.convolve(np.convolve(c, c), c), c)
+    return _poly_add(
+        _poly_mul(_poly_mul(one_m_a2, sq), bracket), -_poly_mul([r2], quartic)
     )
 
 
@@ -812,15 +803,26 @@ def _thm5_case3_lhs(a, r):
 
 
 def _thm5_searches(r, grid: ScanGrid):
-    """The two searched maxima of the thm5 replay at radius r, a float or an
-    array of radii (searched in lockstep), each as (value, argmax): the
-    case-2 envelope over a in [3/5, 3/4] (200 nodes, golden-refined) and the
-    ring/lower family peak.  Case 3 needs none (see ``_thm5_rows``)."""
+    """The three searched maxima of the thm5 replay at radius r, a float or
+    an array of radii (their grids evaluated in blocks of radii, their
+    golden searches in lockstep), each as (value, argmax): the case-2
+    envelope over a in [3/5, 3/4] (200 nodes, golden-refined), the
+    ring/lower family peak, and case 1's largest family-minus-bound
+    difference over 400 nodes of x in [X_GUARD, min(1/4, r_adm(r) - 1e-9)].
+    Case 3 needs none (see ``_thm5_rows``)."""
+    rs = np.atleast_1d(r)
+    stops = [min(0.25, r_admissible(v) - 1e-9) for v in rs.tolist()]
+    xs = _linspace_rows(X_GUARD, stops, 400)
+    diff = lambda x, r, rhs: _thm5_family_lhs(x, r) - rhs
+    d, i = _row_peaks(diff, xs, rs, bounds._thm_rhs_raw("thm5", rs))
+    x1 = xs[np.arange(rs.size), i]
+    case1 = (d, x1) if type(r) is np.ndarray else (float(d[0]), float(x1[0]))
     return (
         _grid_refined_max(
             _thm5_case2_lhs, np.linspace(0.6, 0.75, 200), r, _log1m_tail(r * r)
         ),
         _family_peak(_thm5_family_lhs, r, grid),
+        case1,
     )
 
 
@@ -834,18 +836,16 @@ def _thm5_rows(
     comparison polynomial's sign.  Case 2 (logarithmic bound): the maximum
     and its stated location.  Case 3: the maximum, at a = 3/4.  Ring: the
     family at r, the scan row under its own id."""
-    (best2, arg2), (peak_lo, x_lo) = searches
+    (best2, arg2), (peak_lo, x_lo), (d1, x1) = searches
     ring = _scan_row("thm5", r, peak_lo, x_lo, "ring/lower")
     rhs = ring.rhs  # bounds._thm_rhs_raw("thm5", r)
-    xs = np.linspace(X_GUARD, min(0.25, r_admissible(r) - 1e-9), 400)
-    dvals = _thm5_family_lhs(xs, r) - rhs
     # Case 3: in A = a^2 the product is the downward parabola
     # r^2 (1 - A)(A + 27 r^2/8), whose vertex 1/2 - 27 r^2/16 lies left of
     # A = 9/16, so on 3/4 <= a <= 1 it peaks at a = 3/4.
     best3 = _thm5_case3_lhs(0.75, r)
     return [
         BoundEvaluation("thm5", "case1/radius_below_floor", {"r": r}, r, 0.38),
-        _grid_max("thm5", "case1/negativity", {"r": r}, "x", xs, dvals),
+        BoundEvaluation("thm5", "case1/negativity", {"r": r, "x": x1}, d1, 0.0),
         # Case 2: logarithmic envelope on 3/5 <= a <= 3/4.
         BoundEvaluation("thm5", "case2/max_value", {"r": r, "a": arg2}, best2, rhs),
         _budget(
@@ -1128,8 +1128,8 @@ def _suite_thm5(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluati
         instances += _sharp_z2("thm5", 1, r, f"sharp/z2/{_radius_label(r)}")
     if grid.r_values is None:
         return instances + _thm5_rows(R_THM5, _thm5_searches(R_THM5, grid))
-    # Each search once, in lockstep over all radii; the rows, one radius at
-    # a time.
+    # Each search once over all radii (grids a block of radii per call,
+    # golden in lockstep); the rows, one radius at a time.
     found = [
         [column.tolist() for column in pair]
         for pair in _thm5_searches(np.array(grid.r_values), grid)

@@ -642,6 +642,25 @@ class TestScanCommand:
         ref = verify.crossing_radius(bound_id, lo, 0.5, verify.ScanGrid(), tol=1e-12)
         assert crossing == ref.root
 
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_exact_zero_slack_is_the_crossing_at_any_row(self, capsys, monkeypatch, at):
+        # A row whose family peak meets the bound exactly is the crossing,
+        # the grid's last row included, which has no next row to bracket.
+        def peaks(functional, radii, grid):
+            rhs = verify.bounds._thm_rhs_raw("thm5", radii)
+            lhs = rhs / 2.0
+            lhs[at] = rhs[at]
+            return lhs, np.full(radii.size, 0.1)
+
+        monkeypatch.setattr(cli, "_family_peak", peaks)
+        rc, out, _ = run_cli(
+            capsys, "scan", "--target", "thm5_sharpness", "--grid", "0.37:0.38:5"
+        )
+        assert rc == 0
+        rows = [l.split(",") for l in out.splitlines() if l.startswith("0.")]
+        assert [float(row[3]) == 0.0 for row in rows] == [i == at for i in range(5)]
+        assert f"crossing_radius = {rows[at][0]}" in out.splitlines()
+
     @pytest.mark.parametrize("grid", ["0.5:1.5:3", "0.5:1:3", "0:0.4:3"])
     def test_radii_outside_unit_interval_exit_2(self, capsys, grid):
         rc, out, err = run_cli(

@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blochsums import bisect, golden_max, remark6_poly, sign_changes, trapezoid
-from blochsums.numerics import _log1m_tail, _pow
+from blochsums import numerics
+from blochsums.numerics import (
+    _grid_refined_max,
+    _linspace_rows,
+    _log1m_tail,
+    _poly_add,
+    _poly_mul,
+    _pow,
+    _row_peaks,
+)
 
 
 def log1m_tail_50_digits(t: Decimal) -> Decimal:
@@ -183,6 +192,120 @@ class TestGoldenMax:
         with pytest.raises(ValueError) as array:
             golden_max(never, np.array(lo), np.array(hi), tol=tol)
         assert str(array.value) == str(scalar.value)
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestRowPeaks:
+    """Grids over many rows are evaluated a block of rows per call; every
+    row must get the bits of its own row-at-a-time call, on either side of
+    each block boundary."""
+
+    WIDTH = 400
+    B = numerics._BLOCK_CELLS // WIDTH  # rows per block on a 400-node grid
+
+    @staticmethod
+    def form(x, p, q):
+        # A smooth peak in the grid's interior, through _pow, capped by a
+        # plateau at q on some rows, where the first largest node must win.
+        return np.minimum(p * _pow(1.0 - x, 3) * x * 27.0 / 4.0, q)
+
+    def params(self, rows):
+        rng = np.random.default_rng(rows)
+        return rng.uniform(0.5, 2.0, rows), rng.uniform(0.4, 1.2, rows)
+
+    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 300])
+    @pytest.mark.parametrize("shared", [True, False], ids=["1d_nodes", "2d_nodes"])
+    def test_each_row_has_the_bits_of_its_own_call(self, rows, shared):
+        assert self.B == 32
+        p, q = self.params(rows)
+        stops = np.linspace(0.6, 1.0, rows)
+        nodes = np.linspace(0.0, 1.0, self.WIDTH)
+        if not shared:
+            nodes = _linspace_rows(0.0, stops, self.WIDTH)
+        best, index = _row_peaks(self.form, nodes, p, q)
+        want_best, want_index = [], []
+        for k, (pk, qk) in enumerate(zip(p.tolist(), q.tolist())):
+            xs = nodes if shared else np.linspace(0.0, stops[k], self.WIDTH)
+            vals = np.array([self.form(x, pk, qk) for x in xs.tolist()])
+            want_index.append(int(np.argmax(vals)))
+            want_best.append(vals[want_index[-1]])
+        assert np.array_equal(_bits(best), _bits(want_best))
+        assert index.tolist() == want_index
+        # Rows capped by their plateau (a tie, won by its first node) and
+        # rows peaking below it, both.
+        if rows > 1:
+            assert 0 < np.count_nonzero(best == q) < rows
+
+    @pytest.mark.parametrize("rows", [1, B - 1, B, B + 1, 300])
+    def test_refined_max_over_rows_has_the_bits_of_float_calls(self, rows):
+        p, q = self.params(rows)
+        xs = np.linspace(0.0, 1.0, self.WIDTH)
+        best, at = _grid_refined_max(self.form, xs, p, q)
+        each = zip(p.tolist(), q.tolist())
+        want = [_grid_refined_max(self.form, xs, pk, qk) for pk, qk in each]
+        assert np.array_equal(_bits(best), _bits([w[0] for w in want]))
+        assert np.array_equal(_bits(at), _bits([w[1] for w in want]))
+
+    def test_calls_form_once_per_block(self):
+        shapes = []
+
+        def form(x, p):
+            shapes.append(np.broadcast_shapes(np.shape(x), np.shape(p)))
+            return x * p
+
+        rows = 3 * self.B + 5
+        _row_peaks(form, np.linspace(0.0, 1.0, self.WIDTH), np.ones(rows))
+        assert shapes == [(self.B, self.WIDTH)] * 3 + [(5, self.WIDTH)]
+
+    @pytest.mark.parametrize(
+        "start, stops",
+        [
+            (1e-6, [0.25, 0.1, -1e-9, 0.3]),
+            # A zero step (stop == start, or a subnormal span divided by
+            # 399) sends np.linspace's array form down another formula for
+            # every row; the others must keep the bits of their own call.
+            (1e-6, [0.25, 1e-6, 0.1]),
+            (0.0, [0.3, 5e-324, 0.1, 1e-320]),
+        ],
+    )
+    def test_linspace_rows_have_the_bits_of_their_own_call(self, start, stops):
+        got = _linspace_rows(start, stops, 400)
+        assert got.shape == (len(stops), 400)
+        for row, stop in zip(got, stops):
+            want = np.linspace(start, stop, 400)
+            assert np.array_equal(_bits(row), _bits(want)), stop
+
+
+class TestPolyArithmetic:
+    """The coefficient arithmetic of the case-1 polynomial has the bits of
+    ``numpy.polynomial.polynomial``, which the package does not import."""
+
+    @staticmethod
+    def sequences():
+        rng = np.random.default_rng(2028)
+        out = [[0.0], [-0.0], [1.0], [0.0, 0.0], [1.0, 0.0, -0.0], [-0.0, 2.0]]
+        for n in range(1, 9):
+            for _ in range(6):
+                c = rng.normal(size=n) * 10.0 ** rng.integers(-200, 200, n)
+                c[rng.random(n) < 0.25] = rng.choice([0.0, -0.0])
+                out.append(c.tolist())
+        return out
+
+    def test_add_sub_and_mul_match_numpy_polynomial(self):
+        from numpy.polynomial import polynomial as npoly
+
+        seqs = self.sequences()
+        for c1 in seqs:
+            for c2 in seqs[::7]:
+                for got, want in (
+                    (_poly_add(c1, c2), npoly.polyadd(c1, c2)),
+                    (_poly_add(c1, -np.array(c2)), npoly.polysub(c1, c2)),
+                    (_poly_mul(c1, c2), npoly.polymul(c1, c2)),
+                ):
+                    assert np.array_equal(_bits(got), _bits(want)), (c1, c2)
 
 
 class TestTrapezoid:

@@ -1,12 +1,16 @@
 """Series arithmetic: construction, calculus, weighted sums, circle means, tails."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import blochsums
 from blochsums import (
     CoefficientSeries,
     circle_mean_square,
@@ -48,6 +52,55 @@ class TestCoefficientSeries:
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
             CoefficientSeries(np.ones((2, 2)), "function")
+
+
+class TestEvaluate:
+    """Horner evaluation has the bits of numpy.polynomial's polyval, which
+    the package does not import."""
+
+    @pytest.mark.parametrize("order", [0, 1, 7, 64])
+    def test_bits_of_polyval(self, order):
+        from numpy.polynomial.polynomial import polyval
+
+        rng = np.random.default_rng(order)
+        coeffs = rng.normal(size=order + 1) + 1j * rng.normal(size=order + 1)
+        s = CoefficientSeries(coeffs, "function")
+        z = 0.9 * np.exp(2j * np.pi * rng.random(60)) * rng.random(60)
+        points = [
+            0.37,
+            0.5 - 0.25j,
+            complex(z[0]),
+            z[0],
+            z,
+            z.reshape(3, 20),
+            z.real,
+            np.array(0.3 + 0.1j),
+        ]
+        for point in points:
+            got, want = s.evaluate(point), polyval(point, s.coeffs)
+            assert type(got) is type(want)
+            assert np.shape(got) == np.shape(want)
+            got, want = np.atleast_1d(got), np.atleast_1d(want)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), point
+
+
+def test_import_leaves_numpy_polynomial_out():
+    # numpy.polynomial costs several ms of every process's import; the
+    # package builds its polynomials with np.convolve and its own Horner loop.
+    src = os.path.dirname(os.path.dirname(blochsums.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = (
+        "import sys, blochsums\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=path),
+        check=True,
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCalculus:

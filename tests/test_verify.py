@@ -457,6 +457,31 @@ class TestTheoremSuites:
         assert abs(p[0]) <= 1e-14
         assert abs(p[1]) <= 1e-14
 
+    @pytest.mark.parametrize(
+        "r", [R_THM5, 0.0, 1e-110, 1e-160, 1e-300, 0.2, 0.38, R_HI, 1.0, 3.0**0.5]
+    )
+    def test_case1_coefficients_have_the_bits_of_numpy_polynomial(self, r):
+        # The package builds P(y) with np.convolve; numpy.polynomial, which
+        # it no longer imports, is the oracle, trimming of zeros included
+        # (r = 0 and radii whose r^8 or r^2 underflow).
+        from numpy.polynomial import polynomial as npoly
+
+        r2 = r * r
+        a2 = npoly.polymul([0.0, 27.0 / 4.0], npoly.polypow([1.0, -1.0], 2))
+        bracket = npoly.polyadd(
+            [0.0, 2.0], npoly.polymul([r2], [1.0, 2.0 * (r2 - 3.0), 1.0])
+        )
+        want = npoly.polysub(
+            npoly.polymul(
+                npoly.polymul(npoly.polysub([1.0], a2), npoly.polypow([1.0, -1.0], 2)),
+                bracket,
+            ),
+            npoly.polymul([r2], npoly.polypow([1.0, -r2], 4)),
+        )
+        got = case1_poly_coeffs(r)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_thm5_below_threshold_shows_violation(self, light_grid):
         r = R_THM5 - 0.01
         report = run_suite("thm5", dataclasses.replace(light_grid, r_values=(r,)))
@@ -744,6 +769,33 @@ class TestFamilyGridOracles:
         assert min(grid_wins.values()) > 0
         assert golden_wins["case2"] > 0
 
+    def test_thm5_replay_over_blocks_matches_the_per_radius_rows(self, default_grid):
+        # More radii than a block holds on any of the replay's grids (64 rows
+        # of case 2's 200 nodes, 32 of the 400-node x grids): each radius's
+        # rows have the bits of its own float searches, and case 1's largest
+        # difference the bits of the scalar loop over its 400 nodes.
+        per_block = numerics._BLOCK_CELLS // 200
+        radii = tuple(np.linspace(0.01, R_HI, per_block + 5).tolist())
+        grid = dataclasses.replace(default_grid, r_values=radii)
+        got = {i.instance_id: i for i in run_suite("thm5", grid).instances}
+
+        def fields(i):
+            return _bits(i.lhs, i.rhs, i.slack, i.tail_certificate, *i.params.values())
+
+        for r in radii:
+            for row in _thm5_rows(r, _thm5_searches(r, grid)):
+                replayed = got[f"r={r:.6f}/{row.instance_id}"]
+                assert list(replayed.params) == list(row.params)
+                assert np.array_equal(fields(replayed), fields(row)), row.instance_id
+            rhs = bounds._thm_rhs_raw("thm5", r)
+            xs = np.linspace(X_GUARD, min(0.25, r_admissible(r) - 1e-9), 400)
+            dvals = np.array([_thm5_family_lhs(x, r) - rhs for x in xs])
+            i = int(np.argmax(dvals))
+            row = got[f"r={r:.6f}/case1/negativity"]
+            assert np.array_equal(
+                _bits(row.lhs, row.params["x"]), _bits(dvals[i], xs[i])
+            ), r
+
     @pytest.mark.parametrize("r", (0.05, 0.2, R_THM5, 0.38, R_HI, 1e-300))
     def test_thm5_case3_peaks_at_three_quarters(self, default_grid, r):
         # The row takes case 3's maximum at a = 3/4, the vertex argument in
@@ -935,6 +987,38 @@ class TestNoPerPointLoops:
         # peak at 1/sqrt(3); a search per radius and case made 101.  Case 3
         # takes its maximum at a = 3/4 with no search.
         assert calls == {"array": 2, "float": 1}
+
+    @pytest.mark.parametrize("k", [1, 40, 200])
+    def test_grids_take_one_call_per_block_of_radii(self, monkeypatch, k):
+        # A k-radius replay evaluates each search's grid in ceil(k / B) calls,
+        # B rows of its nodes at a time (a call per radius made k); golden's
+        # steps and the ring/upper scan are 1-D calls, not counted here.
+        calls = {"case2": [], "family": [], "cor2": []}
+
+        def counted(name, form):
+            def wrapped(*args):
+                out = form(*args)
+                if np.ndim(out) == 2:
+                    calls[name].append(out.size)
+                return out
+
+            monkeypatch.setattr(verify, form.__name__, wrapped)
+
+        counted("case2", _thm5_case2_lhs)
+        counted("family", _thm5_family_lhs)
+        counted("cor2", _cor2_h)
+        radii = tuple(np.linspace(R_THM5, 0.38, k).tolist())
+        run_suite("thm5", ScanGrid(r_values=radii))
+        run_suite("cor2", ScanGrid())
+
+        def blocks(rows, width):
+            return -(-rows // (numerics._BLOCK_CELLS // width))
+
+        # The family grid is searched twice per radius: ring/lower and case 1.
+        assert len(calls["case2"]) == blocks(k, 200)
+        assert len(calls["family"]) == 2 * blocks(k, 400)
+        assert len(calls["cor2"]) == blocks(200, 200)
+        assert max(max(sizes) for sizes in calls.values()) <= numerics._BLOCK_CELLS
 
     def test_scan_finds_its_rows_in_one_array_search(self, monkeypatch, capsys):
         from blochsums import cli
