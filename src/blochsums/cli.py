@@ -119,7 +119,10 @@ class RunConfig:
             if "=" not in line:
                 raise UsageError(f"malformed config line: {raw!r}")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key in values:
+                raise UsageError(f"config key {key!r} given more than once")
+            values[key] = value.strip()
         return cls(**_read_settings(values))
 
     @classmethod

@@ -209,6 +209,8 @@ def sign_changes(
     """
     if steps < 2:
         raise ValueError("steps must be at least 2")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError("need finite lo < hi")
     h = (hi - lo) / (steps - 1)
     brackets: List[Tuple[float, float]] = []
     t_prev = lo

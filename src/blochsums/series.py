@@ -15,10 +15,12 @@ the integrand is a trigonometric polynomial.
 
 Tail control: every equality assertion made at a finite truncation order
 carries an explicit majorant for the discarded tail of the boundary-family
-coefficients, provided here as ``tail_majorant_extremal``.  The private
-``_compose_*`` kernels compose a series with a self-map of the disc, and
-``_class_tail`` and ``_cor1_class_tail`` bound what truncating such a
-composition drops, for every member of the class at once.
+coefficients, provided here as ``tail_majorant_extremal``.  Two private
+kernels compose a series with a self-map of the disc: ``_compose_horner``
+takes any map's Taylor coefficients (a rotation's are just [0, u]), and
+``_compose_monomial`` scatters for z^d.  ``_class_tail`` and
+``_cor1_class_tail`` bound what truncating such a composition drops, for
+every member of the class at once.
 """
 
 from __future__ import annotations
@@ -158,8 +160,8 @@ def circle_mean_square(s: CoefficientSeries, r: float, m: int) -> float:
             f"m={m} is below the exactness threshold {2 * s.order + 2} "
             "for this truncation order"
         )
-    if r < 0.0:
-        raise ValueError("r must be nonnegative")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise ValueError("r must be finite and nonnegative")
     theta = 2.0 * np.pi * np.arange(m) / m
     z = r * np.exp(1j * theta)
     vals = s.evaluate(z)
@@ -177,7 +179,11 @@ def _compose_horner(b: np.ndarray, wc: np.ndarray, n: int) -> np.ndarray:
     n-m+1, with wc[:n-m+1] and keeps that many entries.  This gives the
     full-length recursion's result bit for bit: entry k of ``np.convolve``
     is one dot product of length k+1 over acc[0..k] and wc[k..0] whatever
-    the input lengths, and the padded entry meets only wc[0] == 0.
+    the input lengths, and the padded entry meets only wc[0] == 0.  wc may
+    be shorter than the window where every entry then has one nonzero
+    product, as with a rotation's [0, u], so that no order of summation
+    rounds it differently.  Trimming a general kernel at its last nonzero
+    changes the dots' lengths and blocking, and with them the bits.
     """
     if wc[0] != 0.0:
         raise ValueError("Schwarz coefficients must vanish at the origin")
@@ -198,21 +204,6 @@ def _compose_monomial(b: np.ndarray, d: int, n: int) -> np.ndarray:
     out = np.zeros(n + 1, dtype=np.complex128)
     m = min(b.size, n // d + 1)
     out[: m * d : d] = b[:m]
-    return out
-
-
-def _compose_rotation(b: np.ndarray, u: complex, n: int) -> np.ndarray:
-    """b composed with u z: entry k is ((b_k u) u) ... u, the k successive
-    products Horner makes.  Step s multiplies the tail [s:] by u once with
-    Horner's float64 operations; u**k would round differently."""
-    m = min(b.size, n + 1)
-    out = np.zeros(n + 1, dtype=np.complex128)
-    out[:m] = b[:m]
-    re, im = out.real, out.imag
-    ur, ui = u.real, u.imag
-    for s in range(1, m):
-        xr, xi = re[s:m], im[s:m]
-        re[s:m], im[s:m] = xr * ur - xi * ui, xr * ui + xi * ur
     return out
 
 

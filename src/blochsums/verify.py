@@ -81,7 +81,6 @@ from .series import (
     _class_tail,
     _compose_horner,
     _compose_monomial,
-    _compose_rotation,
     _cor1_class_tail,
     _cor1_tail_certificate,
     _phi_weighted_functional,
@@ -331,20 +330,20 @@ def make_subordinate(
     Because w(0) = 0, base terms of index m contribute only to orders >= m,
     so the truncated Horner recursion is exact through order n, and each
     step need only carry the orders it can still pass on: step m works on a
-    window of n-m+1 coefficients (see ``_compose_horner``).  Rotations and
-    monomials take shortcuts that give Horner's result bit for bit.  The
-    constant term is preserved, and when base is the derivative of a class
-    member the composition stays in the class: |base(w(z))| is dominated by
-    the maximum of |base| on the subdisc of radius |z|.
+    window of n-m+1 coefficients (see ``_compose_horner``).  A rotation u z
+    hands Horner only its two coefficients [0, u], and a monomial takes a
+    scatter that gives Horner's coefficients exactly.  The constant term is
+    preserved, and when base is the derivative of a class member the
+    composition stays in the class: |base(w(z))| is dominated by the
+    maximum of |base| on the subdisc of radius |z|.
     """
     if base.kind != KIND_DERIVATIVE:
         raise ValueError("make_subordinate expects a derivative-kind base")
     if w.kind == "monomial":
         coeffs = _compose_monomial(base.coeffs, w.degree, n)
-    elif w.kind == "rotation":
-        coeffs = _compose_rotation(base.coeffs, w.parameters[0], n)
     else:
-        coeffs = _compose_horner(base.coeffs, w.coeffs(n), n)
+        wc = w.coeffs(1 if w.kind == "rotation" else n)
+        coeffs = _compose_horner(base.coeffs, wc, n)
     return CoefficientSeries(coeffs, KIND_DERIVATIVE)
 
 

@@ -142,9 +142,9 @@ class TestSettingsTable:
         assert verify_config(monkeypatch, "--config", str(cfg)) == expected
         assert RunConfig.from_text(line) == expected
 
-    def test_flags_override_file_and_last_duplicate_wins(self, monkeypatch, tmp_path):
+    def test_flags_override_file(self, monkeypatch, tmp_path):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("suite = thm2\nseed = 5\nformat = json\nsuite = thm3\n")
+        cfg.write_text("suite = thm3\nseed = 5\nformat = json\n")
         assert verify_config(monkeypatch, "--config", str(cfg)) == RunConfig(
             suites=("thm3",), seed=5, format="json"
         )
@@ -152,6 +152,18 @@ class TestSettingsTable:
             monkeypatch, "--config", str(cfg), "--seed", "7", "--suite", "cor1"
         )
         assert overridden == RunConfig(suites=("cor1",), seed=7, format="json")
+
+    @pytest.mark.parametrize(
+        "key, first, second", [("suite", "basic", "thm3"), ("seed", "5", "7")]
+    )
+    def test_repeated_config_key_exits_2(self, capsys, tmp_path, key, first, second):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {first}\nformat = json\n {key}={second}\n")
+        with pytest.raises(UsageError, match=f"'{key}' given more than once"):
+            RunConfig.from_text(cfg.read_text())
+        rc, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+        assert (rc, out) == (2, "")
+        assert repr(key) in err
 
     @pytest.mark.parametrize(
         "key, value",

@@ -95,6 +95,23 @@ class TestSignChanges:
         lo, hi = brackets[0]
         assert 0.15 < lo and hi < 0.16
 
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (0.0, math.nan),
+            (math.nan, 1.0),
+            (1.0, 0.0),
+            (0.5, 0.5),
+            (0.0, math.inf),
+            (-math.inf, 0.0),
+        ],
+    )
+    def test_bad_bounds_rejected(self, lo, hi):
+        # Unchecked, (0, nan) reads as "no sign change", (1, 0) gives a
+        # reversed bracket that bisect rejects, and (0, inf) one ending at inf.
+        with pytest.raises(ValueError, match="finite lo < hi"):
+            sign_changes(lambda x: x - 0.5, lo, hi, 10)
+
 
 class TestGoldenMax:
     def test_parabola(self):

@@ -203,6 +203,13 @@ class TestCircleMeanSquare:
         with pytest.raises(ValueError):
             circle_mean_square(f, 0.5, 16)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -0.5])
+    def test_bad_radius_rejected(self, r):
+        # Unchecked, nan gives a nan mean, and inf one with overflow warnings.
+        d = CoefficientSeries([1.0, 1.0], "derivative")
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            circle_mean_square(d, r, 16)
+
     @given(coeff_lists, st.floats(min_value=0.0, max_value=0.9))
     @settings(max_examples=40, deadline=None)
     def test_parseval_property(self, coeffs, r):

@@ -181,10 +181,11 @@ def _horner_oracle(b, wc, n):
 class TestCompositionFastPaths:
     """make_subordinate must reproduce the full-length Horner recursion
     exactly, since reports print 17 significant digits: Blaschke products
-    (the shrinking-window recursion) bit for bit, rotations and monomials
-    (shortcuts that skip the recursion) up to the sign of exact zeros."""
+    and rotations (the shrinking-window recursion, on a rotation's two
+    coefficients) bit for bit, monomials (a scatter that skips the
+    recursion) up to the sign of exact zeros."""
 
-    @pytest.mark.parametrize("n", [8, 48, 64, 256])
+    @pytest.mark.parametrize("n", [8, 48, 64, 128, 256])
     def test_equal_to_horner_oracle(self, n):
         rng = np.random.default_rng(n)
         bases = [
@@ -210,12 +211,12 @@ class TestCompositionFastPaths:
                 fast = make_subordinate(base, spec, n).coeffs
                 oracle = _horner_oracle(base.coeffs, spec.coeffs(n), n)
                 assert fast.shape == (n + 1,)
-                if spec.kind == "blaschke_product":
+                if spec.kind == "monomial":
+                    assert np.array_equal(fast, oracle), (spec, base.order)
+                else:
                     assert np.array_equal(
                         fast.view(np.uint64), oracle.view(np.uint64)
                     ), (spec, base.order)
-                else:
-                    assert np.array_equal(fast, oracle), (spec, base.order)
 
 
 def _zeros(spec):
@@ -1042,18 +1043,17 @@ class TestNoPerPointLoops:
         assert calls == {"array": 1, "float": result.iterations + 3}
 
     def test_thm1_composes_only_the_orders_its_rows_read(self, default_grid, monkeypatch):
-        convolve = np.convolve
-        calls = []
+        compose = verify.make_subordinate
+        orders = []
 
-        def counted(a, v, mode="full"):
-            calls.append(1)
-            return convolve(a, v, mode)
+        def recorded(base, spec, n):
+            orders.append(n)
+            return compose(base, spec, n)
 
-        monkeypatch.setattr(np, "convolve", counted)
+        monkeypatch.setattr(verify, "make_subordinate", recorded)
         run_suite("thm1_B", default_grid)
-        # Horner to the Rogosinski order 128, not to the truncation 256,
-        # which took 18,910 convolutions.
-        assert 0 < len(calls) <= 10_000
+        # Every sample to the Rogosinski order 128, none to the truncation 256.
+        assert set(orders) == {_N_MAX}
 
     @pytest.mark.parametrize("truncation", [48, _N_MAX])
     def test_no_tail_certificate_at_or_below_the_rogosinski_order(
