@@ -24,7 +24,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -363,11 +363,11 @@ _TABLE_FORMS = {
 
 def _table_column(
     bound_id: str, x: Optional[float], radii: np.ndarray
-) -> Iterator[str]:
-    """One bound's value cells over all radii, from one array call on the
-    radii its predicate accepts; ``out_of_range`` elsewhere, and in every
-    cell, with no call (B_a has no value at a = 0), when ``--x`` lies outside
-    the bound's parameter domain."""
+) -> Tuple[np.ndarray, List[float]]:
+    """One bound's mask of the radii its predicate accepts and its values
+    there, from one array call; an all-false mask, with no call (B_a has no
+    value at a = 0), when ``--x`` lies outside the bound's parameter
+    domain."""
     if bound_id == "basic":
         params = ()
     elif bound_id == "prop1":
@@ -381,8 +381,7 @@ def _table_column(
         inside = predicate(*params, radii)
     except ValueError:
         inside = np.zeros(radii.shape, dtype=bool)
-    cells = iter(form(*params, radii[inside]).tolist() if inside.any() else ())
-    return (_fmt(next(cells)) if ok else "out_of_range" for ok in inside.tolist())
+    return inside, form(*params, radii[inside]).tolist() if inside.any() else []
 
 
 def _check_prop1_order(x: float) -> None:
@@ -414,14 +413,26 @@ def cmd_table(
             raise UsageError(f"{bid} needs --x ({_TABLE_X[bid]})")
     lo, hi, steps = r_range
     radii = np.linspace(lo, hi, steps)
-    r_cells = [_fmt(r) for r in radii.tolist()]
-    lines = ["bound_id,x,r,value\n"]
+    # Cells are written one % call per run of rows.  '%.17g' % v and _fmt(v)
+    # run the same CPython formatter, so the bytes equal one _fmt per cell.
+    r_cells = ("%.17g\n" * steps % tuple(radii.tolist())).splitlines()
+    chunks = ["bound_id,x,r,value\n"]
     x_cell = "" if x is None else _fmt(x)
     for bid in bound_ids:
-        prefix = f"{bid},{x_cell},"
-        for r_cell, cell in zip(r_cells, _table_column(bid, x, radii)):
-            lines.append(f"{prefix}{r_cell},{cell}\n")
-    _emit("".join(lines), out_path)
+        prefix = f"{bid},{x_cell},".replace("%", "%%")
+        inside, values = _table_column(bid, x, radii)
+        cuts = [0, *(np.flatnonzero(np.diff(inside)) + 1).tolist(), steps]
+        done = 0  # values written so far
+        for start, stop in zip(cuts, cuts[1:]):
+            cells, n = r_cells[start:stop], stop - start
+            if inside[start]:
+                pairs = [None] * (2 * n)
+                pairs[::2], pairs[1::2] = cells, values[done : done + n]
+                done += n
+                chunks.append((prefix + "%s,%.17g\n") * n % tuple(pairs))
+            else:
+                chunks.append((prefix + "%s,out_of_range\n") * n % tuple(cells))
+    _emit("".join(chunks), out_path)
     return 0
 
 
@@ -500,7 +511,23 @@ def cmd_scan(
 # argument parsing
 
 
+class _Once(argparse.Action):
+    """``store``, except that a second occurrence of the flag is an error
+    (a repeated value would otherwise silently replace the first)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            raise argparse.ArgumentError(self, "given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.register("action", None, _Once)  # the default action: store once
+
     def error(self, message: str):  # route argparse errors through UsageError
         raise UsageError(message)
 
@@ -517,7 +544,7 @@ def _build_parser() -> _Parser:
         p_verify.add_argument(
             "--" + key.replace("_", "-"),
             dest=key,
-            action="append" if key == "suite" else "store",
+            action="append" if key == "suite" else None,
             help=help_text,
         )
     p_verify.add_argument("--config", default=None, help="flat key=value config file")

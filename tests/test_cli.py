@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -196,6 +197,43 @@ class TestSettingsTable:
         assert set(cli._SETTINGS) == set(_SETTING_CASES)
         for key in _SETTING_CASES:
             assert f"--{key.replace('_', '-')} " in help_text
+
+
+# Every flag of every subcommand that takes one value, with two values for
+# it; ``--suite`` is the one flag that may be repeated.
+_ONCE_FLAGS = [
+    ("verify", "--out", "a", "b"),
+    ("verify", "--format", "csv", "json"),
+    ("verify", "--seed", "5", "7"),
+    ("verify", "--tol", "1e-10", "1e-11"),
+    ("verify", "--grid", "0.01:0.5:10", "0.01:0.5:20"),
+    ("verify", "--truncation", "64", "128"),
+    ("verify", "--r-values", "0.37", "0.38"),
+    ("verify", "--config", "a.cfg", "b.cfg"),
+    ("table", "--bounds", "basic", "thm2"),
+    ("table", "--grid", "0:0.5:3", "0:0.5:4"),
+    ("table", "--x", "0.2", "0.3"),
+    ("table", "--out", "a.csv", "b.csv"),
+    ("scan", "--target", "problem1", "problem2"),
+    ("scan", "--grid", "0.37:0.42:6", "0.37:0.42:7"),
+    ("scan", "--out", "a.csv", "b.csv"),
+]
+
+
+class TestRepeatedFlags:
+    @pytest.mark.parametrize("command, flag, first, second", _ONCE_FLAGS)
+    def test_second_occurrence_exits_2(self, capsys, command, flag, first, second):
+        rc, out, err = run_cli(capsys, command, flag, first, f"{flag}={second}")
+        assert (rc, out) == (2, "")
+        assert err == f"usage error: argument {flag}: given more than once\n"
+
+    @pytest.mark.parametrize("command", ["verify", "table", "scan"])
+    def test_every_flag_but_suite_is_covered(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        covered = {flag for cmd, flag, _, _ in _ONCE_FLAGS if cmd == command}
+        assert flags - {"--help", "--suite"} == covered
 
 
 class TestVerifyCommand:
@@ -473,6 +511,20 @@ class TestTableOracle:
     def test_readme_example(self, capsys):
         self.check(capsys, ("thm1_B",), (0.1, 0.3, 3), 0.2)
 
+    @pytest.mark.parametrize(
+        "bound_ids, r_range, x",
+        [
+            # A bound listed twice: its runs of rows start again in one table.
+            (("basic", "thm2", "basic"), (-0.2, 0.7, 50), None),
+            # Cells in exponent form, and values that underflow to 0.
+            (("basic", "prop1", "thm2", "thm5"), (1e-200, 2e-200, 5), None),
+            # prop1's largest values, near r_141.
+            (("prop1",), (r_star(141) - 0.02, r_star(141) + 0.02, 401), 141.0),
+        ],
+    )
+    def test_runs_and_extreme_cells(self, capsys, bound_ids, r_range, x):
+        self.check(capsys, bound_ids, r_range, x)
+
 
 class TestTableCommand:
     def test_closed_form_rows(self, capsys):
@@ -509,6 +561,24 @@ class TestTableCommand:
             assert float(val_cell) == pytest.approx(
                 bound_thm1_B(float(x_cell), float(r_cell)), rel=1e-15
             )
+
+    def test_no_cell_is_formatted_on_its_own(self, capsys, monkeypatch):
+        # Structural guard: the cells are written a run of rows per % call,
+        # so _fmt formats only the x cell (a call per cell made ~19,600).
+        calls = []
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or fmt(v))
+        rc, out, _ = run_cli(
+            capsys,
+            "table",
+            "--bounds",
+            "thm1_B,thm1_B2,cor1",
+            "--x",
+            "0.3",
+            "--grid=0.02:0.35:5000",
+        )
+        assert (rc, len(out.splitlines())) == (0, 1 + 3 * 5000)
+        assert len(calls) <= 1
 
     def test_missing_parameter_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "table", "--bounds", "thm1_B", "--grid", "0:0.3:3")
