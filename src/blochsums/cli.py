@@ -53,7 +53,6 @@ from .verify import (
     _MAX_LEN,
     _family_peak,
     _scan_functional,
-    _scan_row,
     crossing_radius,
     run_suite,
 )
@@ -465,29 +464,26 @@ def cmd_scan(
     if not 0.0 < lo < hi < 1.0:
         raise UsageError(f"scan radii must lie in (0, 1), got {lo!r}:{hi!r}")
     radii = np.linspace(lo, hi, steps)
-    lines = ["r,max_lhs,rhs,slack,x_at_max"]
-    # All rows' family peaks come from one lockstep search over the radii.
+    # All rows' family peaks come from one lockstep search over the radii;
+    # rhs and slack take each element's bits of ``_scan_row``'s float call,
+    # and the rows are written by one % call, as in ``cmd_table``.
     rs = radii.tolist()
     peaks, args = _family_peak(_scan_functional(bound_id, *rs), radii, grid)
-    rows = [_scan_row(bound_id, *r) for r in zip(rs, peaks.tolist(), args.tolist())]
-    slacks = [row.slack for row in rows]
-    for row in rows:
-        lines.append(
-            f"{_fmt(row.params['r'])},{_fmt(row.lhs)},{_fmt(row.rhs)},"
-            f"{_fmt(row.slack)},{_fmt(row.params['x'])}"
-        )
-    _emit("\n".join(lines) + "\n", out_path)
+    rhs = _thm_rhs_raw(bound_id, radii)
+    slack = rhs - peaks
+    cells = np.column_stack((radii, peaks, rhs, slack, args)).ravel().tolist()
+    rows = "%.17g,%.17g,%.17g,%.17g,%.17g\n" * steps % tuple(cells)
+    _emit("r,max_lhs,rhs,slack,x_at_max\n" + rows, out_path)
 
     crossing = None
-    for i in range(len(radii)):
+    slack, rhs = slack.tolist(), rhs.tolist()
+    for i, r in enumerate(rs):
         # Below r ~ 1e-162 peak and bound underflow to 0: no crossing.
-        if slacks[i] == 0.0 and rows[i].rhs > 0.0:
-            crossing = float(radii[i])
+        if slack[i] == 0.0 and rhs[i] > 0.0:
+            crossing = r
             break
-        if i + 1 < len(radii) and _straddles(slacks[i], slacks[i + 1]):
-            crossing = crossing_radius(
-                bound_id, float(radii[i]), float(radii[i + 1]), grid, tol=1e-12
-            ).root
+        if i + 1 < steps and _straddles(slack[i], slack[i + 1]):
+            crossing = crossing_radius(bound_id, r, rs[i + 1], grid, tol=1e-12).root
             break
     print(f"target = {target}")
     if crossing is None:
@@ -568,6 +564,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# Built once per process: a parse keeps its state (``_Once``'s flags seen)
+# on the namespace it returns, never on the parser.
+_PARSER = _build_parser()
+
+
 def _verify_config(args: argparse.Namespace) -> RunConfig:
     """The config file (or the defaults), overridden by the flags given."""
     config = RunConfig() if args.config is None else RunConfig.from_file(args.config)
@@ -578,9 +579,8 @@ def _verify_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         if args.command == "verify":
             status = cmd_verify(_verify_config(args))
         elif args.command == "root":

@@ -312,7 +312,10 @@ def _grid_refined_max(form: Callable, xs: ndarray, p, *params):
     arrays of both: then the grid is evaluated for a block of searches per
     call (``_row_peaks``), and the searches run in lockstep."""
     if type(p) is not ndarray:
-        best, at, lo, hi = _grid_peak(form(xs, p, *params), xs)
+        vals = form(xs, p, *params)
+        i = int(np.argmax(vals))
+        best, at = float(vals[i]), float(xs[i])
+        lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, xs.size - 1)])
         if lo < hi:
             arg, val = golden_max(lambda x: form(x, p, *params), lo, hi, tol=1e-12)
             if val > best:
@@ -329,14 +332,6 @@ def _grid_refined_max(form: Callable, xs: ndarray, p, *params):
         best[refine[better]] = val[better]
         at[refine[better]] = arg[better]
     return best, at
-
-
-def _grid_peak(vals: ndarray, xs: ndarray):
-    """The first largest grid value and its node, as floats, and the nodes
-    on either side of it (the node itself at a grid end)."""
-    i = int(np.argmax(vals))
-    lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
-    return float(vals[i]), float(xs[i]), float(lo), float(hi)
 
 
 # Grid cells per form call in ``_row_peaks``: 32 rows of a 400-node grid,

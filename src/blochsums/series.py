@@ -76,11 +76,8 @@ class CoefficientSeries:
 
     def evaluate(self, z: complex | np.ndarray) -> complex | np.ndarray:
         """Horner evaluation of the truncated series at z (scalar or array),
-        with the bits of ``numpy.polynomial.polynomial.polyval``: the same
-        steps, an array z taking the coefficients as broadcast columns."""
+        with the bits of ``numpy.polynomial.polynomial.polyval``."""
         c = self.coeffs
-        if isinstance(z, np.ndarray):
-            c = c.reshape(c.shape + (1,) * z.ndim)
         c0 = c[-1] + z * 0
         for i in range(2, len(c) + 1):
             c0 = c[-i] + c0 * z

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -28,6 +29,7 @@ from blochsums import (
 from blochsums.bounds import R_HI, THM2_R_LO, THM3_R_LO
 from blochsums import cli
 from blochsums.cli import RunConfig, UsageError, cmd_verify, main
+from blochsums.numerics import _straddles
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +40,13 @@ def run_cli(capsys, *argv):
 
 def _no_suite(*args, **kwargs):
     raise AssertionError("a suite ran before the report directory was made")
+
+
+def _child_env():
+    """The environment for ``python -m blochsums``, importing this source."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path)
 
 
 class TestRunConfig:
@@ -234,6 +243,27 @@ class TestRepeatedFlags:
         flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
         covered = {flag for cmd, flag, _, _ in _ONCE_FLAGS if cmd == command}
         assert flags - {"--help", "--suite"} == covered
+
+
+class TestOneParser:
+    """``main`` parses with the parser built at import; a parse keeps its
+    state on its own namespace, so no call sees another's flags."""
+
+    def test_repeated_flag_leaves_nothing_behind(self, capsys):
+        rc, out, _ = run_cli(capsys, "verify", "--suite=thm3", "--seed=5", "--seed=7")
+        assert (rc, out) == (2, "")
+        rc, _, err = run_cli(capsys, "verify", "--suite=thm3", "--seed=5")
+        assert (rc, err) == (0, "")
+
+    def test_process_and_call_give_the_same_bytes(self, capsys):
+        argv = ["scan", "--target", "problem1"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "blochsums", *argv],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, *argv)
 
 
 class TestVerifyCommand:
@@ -648,6 +678,93 @@ class TestTableCommand:
         assert "unknown bound" in err
 
 
+def _scan_oracle(target, r_range):
+    """``scan``'s rows and crossing line as the loop that the row arrays
+    replaced, one ``_scan_row`` per radius and one ``format`` per cell:
+    they must give the same bytes."""
+    bound_id, _ = cli._SCAN_TARGETS[target]
+    radii = np.linspace(*r_range)
+    rs, grid = radii.tolist(), verify.ScanGrid()
+    functional = verify._scan_functional(bound_id, *rs)
+    peaks, args = cli._family_peak(functional, radii, grid)
+    rows = [
+        verify._scan_row(bound_id, *r) for r in zip(rs, peaks.tolist(), args.tolist())
+    ]
+    lines = ["r,max_lhs,rhs,slack,x_at_max"]
+    for row in rows:
+        cells = (row.params["r"], row.lhs, row.rhs, row.slack, row.params["x"])
+        lines.append(",".join(format(float(v), ".17g") for v in cells))
+    crossing = "none (no sign change on this range)"
+    for i, row in enumerate(rows):
+        if row.slack == 0.0 and row.rhs > 0.0:
+            crossing = format(rs[i], ".17g")
+            break
+        if i + 1 < len(rows) and _straddles(row.slack, rows[i + 1].slack):
+            root = verify.crossing_radius(bound_id, rs[i], rs[i + 1], grid, tol=1e-12)
+            crossing = format(root.root, ".17g")
+            break
+    lines += [f"target = {target}", f"crossing_radius = {crossing}"]
+    return "\n".join(lines) + "\n"
+
+
+def _seeded_scan(seed, steps):
+    """A target and a radius range around the crossings, from the seed."""
+    rng = random.Random(f"scan:{seed}")
+    target = rng.choice(list(cli._SCAN_TARGETS))
+    return target, (rng.uniform(0.3, 0.39), rng.uniform(0.39, 0.45), steps)
+
+
+class TestScanOracle:
+    """Every scan the row arrays write equals the per-row oracle byte for
+    byte, with and without a crossing and down to the least radius."""
+
+    def check(self, capsys, target, r_range):
+        argv = ["scan", "--target", target]
+        argv.append("--grid={!r}:{!r}:{}".format(*r_range))
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, "")
+        oracle = _scan_oracle(target, r_range)
+        assert out.startswith(oracle)
+        return oracle
+
+    @pytest.mark.parametrize(
+        "seed, steps", [(1, 2), (2, 2), (3, 26), (4, 26), (5, 101), (6, 1001)]
+    )
+    def test_seeded_grids(self, capsys, seed, steps):
+        self.check(capsys, *_seeded_scan(seed, steps))
+
+    def test_zero_slack_on_the_last_row(self, capsys, monkeypatch):
+        def peaks(functional, radii, grid):
+            rhs = verify.bounds._thm_rhs_raw("thm5", radii)
+            lhs = rhs / 2.0
+            lhs[-1] = rhs[-1]
+            return lhs, np.full(radii.size, 0.1)
+
+        monkeypatch.setattr(cli, "_family_peak", peaks)
+        oracle = self.check(capsys, "thm5_sharpness", (0.37, 0.38, 26))
+        assert "crossing_radius = 0.38\n" in oracle
+
+    def test_range_with_no_crossing(self, capsys):
+        oracle = self.check(capsys, "problem1", (0.37, 0.38, 26))
+        assert "crossing_radius = none" in oracle
+
+    @pytest.mark.parametrize("target", list(cli._SCAN_TARGETS))
+    def test_grid_from_the_least_radius(self, capsys, target):
+        self.check(capsys, target, (5e-324, 0.5, 26))
+
+    def test_no_cell_is_formatted_on_its_own(self, capsys, monkeypatch):
+        # Structural guard: the rows are one % call, so _fmt formats only the
+        # crossing and reference radii (a call per cell made 5,005).
+        calls = []
+        fmt = cli._fmt
+        monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or fmt(v))
+        argv = ["scan", "--target", "thm5_sharpness", "--grid=0.37:0.39:1001"]
+        rc, out, _ = run_cli(capsys, *argv)
+        rows = sum(line.startswith("0.") for line in out.splitlines())
+        assert (rc, rows) == (0, 1001)
+        assert len(calls) <= 2
+
+
 class TestScanCommand:
     def test_degenerate_two_point_grid(self, capsys):
         rc, out, _ = run_cli(
@@ -830,9 +947,7 @@ class TestClosedStdout:
         ids=["root", "scan", "table", "verify"],
     )
     def test_exit_1_and_no_traceback(self, tmp_path, argv, unbuffered):
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        env = dict(os.environ, PYTHONPATH=path)
+        env = _child_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"

@@ -989,6 +989,13 @@ class TestNoPerPointLoops:
         # takes its maximum at a = 3/4 with no search.
         assert calls == {"array": 2, "float": 1}
 
+    def test_default_thm5_searches_one_radius_as_floats(self, monkeypatch):
+        calls = self.count_golden(monkeypatch)
+        run_suite("thm5", ScanGrid())
+        # case 2, ring/lower at R and ring/upper at 1/sqrt(3): a float search
+        # each.  As one-element array searches the run took 3-5 times as long.
+        assert calls == {"array": 0, "float": 3}
+
     @pytest.mark.parametrize("k", [1, 40, 200])
     def test_grids_take_one_call_per_block_of_radii(self, monkeypatch, k):
         # A k-radius replay evaluates each search's grid in ceil(k / B) calls,
