@@ -34,7 +34,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .numerics import _log1m_tail, _pow
+from .numerics import _horner, _is_integer, _log1m_tail, _pow
 
 __all__ = [
     "SQRT3",
@@ -154,7 +154,7 @@ def _basic_raw(r):
 
 def r_star(n: int) -> float:
     """Contact radius r_n = sqrt(n/(n+2)) of the tail bound."""
-    if n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError("n must be a positive integer")
     return math.sqrt(n / (n + 2.0))
 
@@ -173,7 +173,7 @@ def bound_prop1(n: int, r: float) -> float:
 
 def _prop1_inside(n: int, r):
     """``bound_prop1``'s gate 0 <= r <= r_n; r a float or an array.  Raises
-    unless n >= 1."""
+    unless n is an integer >= 1."""
     return (0.0 <= r) & (r <= r_star(n) + _EDGE)
 
 
@@ -335,7 +335,4 @@ def _thm_rhs_raw(bound_id: str, r):
 
 def remark6_poly(y: float) -> float:
     """Horner evaluation of the degree-8 threshold polynomial."""
-    total = 0.0
-    for c in reversed(REMARK6_COEFFS):
-        total = total * y + c
-    return total
+    return _horner(REMARK6_COEFFS, y)

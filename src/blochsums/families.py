@@ -29,6 +29,7 @@ import math
 import numpy as np
 
 from .bounds import R_HI, SQRT3
+from .numerics import _is_integer
 from .series import KIND_DERIVATIVE, CoefficientSeries
 
 __all__ = [
@@ -121,7 +122,7 @@ def f_n_prime(n: int) -> CoefficientSeries:
     equals exactly 1, attained at r_n = sqrt(n/(n+2)); the family therefore
     sits on the class boundary.
     """
-    if n < 1:
+    if not _is_integer(n) or n < 1:
         raise ValueError("n must be a positive integer")
     c = 0.5 * (n + 2.0) * ((n + 2.0) / n) ** (n / 2.0)
     out = np.zeros(n + 1, dtype=np.complex128)

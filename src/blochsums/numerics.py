@@ -10,12 +10,11 @@ one way the package takes a maximum over an interval.  A grid searched
 for many rows at once (radii, or cor2's a-rows) goes through
 ``_row_peaks``: one call of the closed form per block of rows, on one
 shared grid or one row of nodes per row (``_linspace_rows``), so that each
-row keeps the bits of its own call.  ``_poly_add`` and ``_poly_mul`` are
-``numpy.polynomial``'s polyadd and polymul, bit for bit, for the one
-polynomial the package builds, so that importing it loads no
-``numpy.polynomial``.  The trapezoid adds its node values left to right;
-no suite calls it (the circle means of ``series`` take their own rule,
-exact on trigonometric polynomials).
+row keeps the bits of its own call.  ``_horner`` is the package's one
+polynomial evaluation (polyval's bits, with no ``numpy.polynomial``
+import), ``_is_integer`` its one integer test.  The trapezoid adds its
+node values left to right; no suite calls it (the circle means of
+``series`` take their own rule, exact on trigonometric polynomials).
 
 Everything here is pure and deterministic.  Bisection is preferred wherever
 a bracket exists because its convergence is unconditional, and none of the
@@ -30,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
+from numbers import Integral
 from typing import Callable, List, Tuple
 
 import numpy as np
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_ITER = 200  # the most halvings ``bisect`` makes: width 1 becomes 2^-200
 
 
 def _straddles(a: float, b: float) -> bool:
@@ -94,30 +95,19 @@ def _pow(v, k: int):
     return v**k
 
 
-def _poly_trim(c: ndarray) -> ndarray:
-    """c without its trailing zeros, or its first element if all are zero
-    (``numpy.polynomial.polyutils.trimseq``)."""
-    nonzero = np.flatnonzero(c)
-    return c[: nonzero[-1] + 1] if nonzero.size else c[:1]
+def _horner(coeffs, x):
+    """The polynomial with coefficients ``coeffs`` (low order first) at x, a
+    float, a complex or an array: polyval's loop, and so its bits."""
+    high = reversed(coeffs)
+    acc = next(high) + x * 0
+    for c in high:
+        acc = c + acc * x
+    return acc
 
 
-def _poly_mul(c1, c2) -> ndarray:
-    """Product of two coefficient sequences, low order first, with the bits
-    of ``numpy.polynomial.polynomial.polymul``: both trimmed, convolved in
-    this order, and the product trimmed."""
-    trimmed = (_poly_trim(np.asarray(c, dtype=np.float64)) for c in (c1, c2))
-    return _poly_trim(np.convolve(*trimmed))
-
-
-def _poly_add(c1, c2) -> ndarray:
-    """c1 + c2 with the bits of ``numpy.polynomial.polynomial.polyadd``:
-    both trimmed, the shorter added into the first entries of the longer,
-    and the sum trimmed.  polysub(c1, c2) is _poly_add(c1, -c2), since
-    x - y and x + (-y) round alike."""
-    c1, c2 = (_poly_trim(np.array(c, dtype=np.float64)) for c in (c1, c2))
-    out, short = (c1, c2) if c1.size > c2.size else (c2, c1)
-    out[: short.size] += short
-    return _poly_trim(out)
+def _is_integer(value) -> bool:
+    """True for an int or a NumPy integer, but not for a bool."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -147,13 +137,12 @@ def bisect(
     lo: float,
     hi: float,
     tol: float = 1e-14,
-    max_iter: int = 200,
 ) -> RootResult:
     """Bisection on a sign-changing bracket [lo, hi].
 
-    Iterates until the bracket width is at most ``tol`` (or ``max_iter`` is
-    hit) and returns the midpoint of the final bracket.  Raises ValueError
-    when the endpoint values do not straddle zero.
+    Iterates until the bracket width is at most ``tol`` (or for
+    ``_MAX_ITER`` steps) and returns the midpoint of the final bracket.
+    Raises ValueError when the endpoint values do not straddle zero.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
@@ -169,7 +158,7 @@ def bisect(
         raise ValueError("not bracketed: f(lo) and f(hi) have the same sign")
 
     iterations = 0
-    while (hi - lo) > tol and iterations < max_iter:
+    while (hi - lo) > tol and iterations < _MAX_ITER:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break  # bracket no longer representable any tighter

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import R_HI, SQRT3
+from .numerics import _horner, _is_integer
 
 __all__ = [
     "KIND_FUNCTION",
@@ -75,13 +76,8 @@ class CoefficientSeries:
         return self.coeffs.size - 1
 
     def evaluate(self, z: complex | np.ndarray) -> complex | np.ndarray:
-        """Horner evaluation of the truncated series at z (scalar or array),
-        with the bits of ``numpy.polynomial.polynomial.polyval``."""
-        c = self.coeffs
-        c0 = c[-1] + z * 0
-        for i in range(2, len(c) + 1):
-            c0 = c[-i] + c0 * z
-        return c0
+        """The truncated series at z, a scalar or an array (``_horner``)."""
+        return _horner(self.coeffs, z)
 
 
 def derivative_series(f: CoefficientSeries) -> CoefficientSeries:
@@ -152,10 +148,10 @@ def circle_mean_square(s: CoefficientSeries, r: float, m: int) -> float:
     """
     if s.kind != KIND_DERIVATIVE:
         raise ValueError("circle_mean_square expects a derivative-kind series")
-    if m < 2 * s.order + 2:
+    if not _is_integer(m) or m < 2 * s.order + 2:
         raise ValueError(
-            f"m={m} is below the exactness threshold {2 * s.order + 2} "
-            "for this truncation order"
+            f"m={m!r} must be an integer, at least the exactness threshold "
+            f"{2 * s.order + 2} for this truncation order"
         )
     if not (math.isfinite(r) and r >= 0.0):
         raise ValueError("r must be finite and nonnegative")
@@ -243,8 +239,8 @@ def tail_majorant_extremal(x: float, r: float, p: int, n: int) -> float:
         raise ValueError("r must lie in [0, 1)")
     if p not in (1, 2):
         raise ValueError("p must be 1 or 2")
-    if n < 2:
-        raise ValueError("n must be at least 2")
+    if not _is_integer(n) or n < 2:
+        raise ValueError(f"n must be an integer of at least 2, got {n!r}")
     q = (x * r) ** 2  # below 1/3
     if q == 0.0:
         return 0.0

@@ -31,7 +31,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,11 +64,10 @@ from .families import (
 )
 from .numerics import (
     _grid_refined_max,
+    _horner,
+    _is_integer,
     _linspace_rows,
     _log1m_tail,
-    _poly_add,
-    _poly_mul,
-    _poly_trim,
     _pow,
     _row_peaks,
     bisect,
@@ -153,11 +151,6 @@ _SHARP_Z2 = integrate_series(f_n_prime(1))
 
 # ---------------------------------------------------------------------------
 # domain types
-
-
-def _is_integer(value) -> bool:
-    """True for an int or a NumPy integer, but not for a bool."""
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -339,6 +332,8 @@ def make_subordinate(
     """
     if base.kind != KIND_DERIVATIVE:
         raise ValueError("make_subordinate expects a derivative-kind base")
+    if not _is_integer(n) or n < 1:
+        raise ValueError(f"order must be an integer of at least 1, got {n!r}")
     if w.kind == "monomial":
         coeffs = _compose_monomial(base.coeffs, w.degree, n)
     else:
@@ -633,10 +628,7 @@ def thm3_surd_coefficients() -> Tuple[float, ...]:
 
 def _thm3_sextic(x):
     """Horner form of the surd-coefficient sextic; x a float or an array."""
-    total = 0.0
-    for c in reversed(thm3_surd_coefficients()):
-        total = (total + c) * x
-    return total
+    return x * _horner(thm3_surd_coefficients(), x)
 
 
 def _thm3_raw(x: float) -> float:
@@ -761,25 +753,25 @@ def _cor2_rows() -> List[BoundEvaluation]:
     return instances
 
 
-def case1_poly_coeffs(r: float = R_THM5) -> np.ndarray:
-    """Coefficients (in y = x^2) of the case-1 comparison polynomial.
+def case1_poly_coeffs() -> np.ndarray:
+    """Coefficients (in y = x^2, low order first) of the case-1 comparison
+    polynomial at the threshold radius r = R_THM5.
 
     P(y) = (1 - a^2(y)) (1 - y)^2 (2y + r^2 (1 + 2(r^2 - 3) y + y^2))
            - r^2 (1 - r^2 y)^4,
     where a^2(y) = (27/4) y (1 - y)^2.  The slack of the case-1 inequality
     is (27 r^2 / (8 (1 - r^2 x^2)^4)) P(x^2), so nonpositivity of P settles
-    the case.  At the threshold radius the y^0 and y^1 coefficients vanish
-    and -4 P(y)/y^2 is the degree-5 polynomial whose decimals are checked.
+    the case.  At this radius the y^0 and y^1 coefficients vanish and
+    -4 P(y)/y^2 is the degree-5 polynomial whose decimals are checked.
     """
-    r2 = r * r
-    sq = np.convolve([1.0, -1.0], [1.0, -1.0])  # (1 - y)^2
-    one_m_a2 = _poly_add([1.0], -_poly_mul([0.0, 27.0 / 4.0], sq))
-    bracket = _poly_add([0.0, 2.0], _poly_mul([r2], [1.0, 2.0 * (r2 - 3.0), 1.0]))
-    c = _poly_trim(np.array([1.0, -r2]))  # (1 - r^2 y)^4, multiplied as polypow does
-    quartic = np.convolve(np.convolve(np.convolve(c, c), c), c)
-    return _poly_add(
-        _poly_mul(_poly_mul(one_m_a2, sq), bracket), -_poly_mul([r2], quartic)
-    )
+    r2 = R_THM5 * R_THM5
+    one_m_a2 = [1.0, -27.0 / 4.0, 27.0 / 2.0, -27.0 / 4.0]  # 1 - a^2(y)
+    bracket = [r2, 2.0 + r2 * (2.0 * (r2 - 3.0)), r2]
+    c = [1.0, -r2]
+    quartic = np.convolve(np.convolve(np.convolve(c, c), c), c)  # (1 - r^2 y)^4
+    p = np.convolve(np.convolve(one_m_a2, [1.0, -2.0, 1.0]), bracket)  # times (1 - y)^2
+    p[: quartic.size] -= r2 * quartic
+    return p
 
 
 def _thm5_case2_lhs(a, r, log_term=None):
@@ -1109,7 +1101,7 @@ def _suite_thm5(grid: ScanGrid, shared: Dict[str, object]) -> List[BoundEvaluati
             "thm5", "case1/admissible_floor", {"x": 0.25}, 0.38, r_admissible(0.25)
         ),
     ]
-    q = -4.0 * case1_poly_coeffs(R_THM5)[2:]  # -4 P(y)/y^2, y^0 .. y^5
+    q = -4.0 * case1_poly_coeffs()[2:]  # -4 P(y)/y^2, y^0 .. y^5
     for j, (got, printed) in enumerate(zip(q, THM5_CASE1_PRINTED_DECIMALS)):
         instances.append(
             _budget(

@@ -65,6 +65,17 @@ class TestTailBound:
         with pytest.raises(ValueError):
             bound_prop1(0, 0.1)
 
+    @pytest.mark.parametrize(
+        "n", [1.5, 2.0, True, pytest.param(np.float64(2.0), id="float64")]
+    )
+    def test_non_integer_index_rejected(self, n):
+        # Unchecked, r_star(1.5) = 0.6547 and bound_prop1(1.5, 0.3) = 0.2947
+        # would describe no member of the monomial family.
+        with pytest.raises(ValueError, match="positive integer"):
+            r_star(n)
+        with pytest.raises(ValueError, match="positive integer"):
+            bound_prop1(n, 0.3)
+
 
 class TestAdmissibleRadius:
     def test_endpoints(self):

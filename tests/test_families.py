@@ -146,6 +146,12 @@ class TestMonomialFamily:
     def test_class_membership(self, n):
         assert bloch_membership_scan(f_n_prime(n)) <= 1.0 + 1e-6
 
+    @pytest.mark.parametrize("n", [1.5, 2.0, True, 0])
+    def test_non_integer_index_rejected(self, n):
+        # Checked before np.zeros, which raises a TypeError for 1.5.
+        with pytest.raises(ValueError, match="positive integer"):
+            f_n_prime(n)
+
 
 class TestMoebiusMajorant:
     def test_geometric_structure(self):

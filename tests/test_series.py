@@ -210,6 +210,17 @@ class TestCircleMeanSquare:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             circle_mean_square(d, r, 16)
 
+    @pytest.mark.parametrize(
+        "m", [16.5, 16.0, True, pytest.param(np.float64(16.0), id="float64")]
+    )
+    def test_non_integer_node_count_rejected(self, m):
+        # Unchecked, m = 16.5 would average over 17 nodes spaced 2 pi/16.5 apart,
+        # which do not span the circle: 2.1507 for a mean square of 2.0625.
+        d = CoefficientSeries([1.0, 2.0, 1.0], "derivative")
+        assert circle_mean_square(d, 0.5, 16) == pytest.approx(2.0625)
+        with pytest.raises(ValueError, match="integer"):
+            circle_mean_square(d, 0.5, m)
+
     @given(coeff_lists, st.floats(min_value=0.0, max_value=0.9))
     @settings(max_examples=40, deadline=None)
     def test_parseval_property(self, coeffs, r):
@@ -248,3 +259,12 @@ class TestTailMajorant:
             tail_majorant_extremal(0.2, 0.3, 3, 8)
         with pytest.raises(ValueError):
             tail_majorant_extremal(0.2, 0.3, 2, 1)
+
+    @pytest.mark.parametrize(
+        "n", [10.5, 10.0, True, pytest.param(np.float64(10.0), id="float64")]
+    )
+    def test_non_integer_order_rejected(self, n):
+        # Unchecked, n = 10.5 gives 3.0e-13, below the true tail of G_x
+        # beyond order 10 (1.28e-12): a certificate that certifies nothing.
+        with pytest.raises(ValueError, match="integer"):
+            tail_majorant_extremal(0.3, 0.5, 2, n)

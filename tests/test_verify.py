@@ -58,6 +58,7 @@ from blochsums.verify import (
     _thm5_rows,
     _thm5_searches,
     case1_poly_coeffs,
+    thm3_surd_coefficients,
 )
 
 from abel_oracle import _abel_row
@@ -166,6 +167,24 @@ class TestMakeSubordinate:
         f = CoefficientSeries([0.0, 1.0], "function")
         with pytest.raises(ValueError):
             make_subordinate(f, SchwarzSpec("monomial", (), degree=2), 8)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SchwarzSpec("rotation", (1.0 + 0j,)),
+            SchwarzSpec("monomial", (), degree=2),
+            SchwarzSpec("blaschke_product", (0.3,)),
+        ],
+        ids=lambda spec: spec.kind,
+    )
+    @pytest.mark.parametrize("n", [0, -3, 6.5, 8.0, True])
+    def test_bad_order_is_one_value_error(self, spec, n):
+        # Checked before any kind's own code, where order 0 composes for a
+        # rotation or a monomial, -3 reaches NumPy's "negative dimensions"
+        # and 6.5 a NumPy TypeError.
+        base = g_prime_coeffs(0.2, 16)
+        with pytest.raises(ValueError, match="order must be an integer"):
+            make_subordinate(base, spec, n)
 
 
 def _horner_oracle(b, wc, n):
@@ -454,20 +473,17 @@ class TestTheoremSuites:
 
     def test_case1_low_coefficients_vanish_at_threshold(self):
         # What makes -4 P(y)/y^2 the polynomial of the printed decimals.
-        p = case1_poly_coeffs(R_THM5)
+        p = case1_poly_coeffs()
         assert abs(p[0]) <= 1e-14
         assert abs(p[1]) <= 1e-14
 
-    @pytest.mark.parametrize(
-        "r", [R_THM5, 0.0, 1e-110, 1e-160, 1e-300, 0.2, 0.38, R_HI, 1.0, 3.0**0.5]
-    )
-    def test_case1_coefficients_have_the_bits_of_numpy_polynomial(self, r):
+    def test_case1_coefficients_have_the_bits_of_numpy_polynomial(self):
         # The package builds P(y) with np.convolve; numpy.polynomial, which
-        # it no longer imports, is the oracle, trimming of zeros included
-        # (r = 0 and radii whose r^8 or r^2 underflow).
+        # it does not import, is the oracle, shape included: at R_THM5 no
+        # product or sum has a trailing zero for polynomial's trim to drop.
         from numpy.polynomial import polynomial as npoly
 
-        r2 = r * r
+        r2 = R_THM5 * R_THM5
         a2 = npoly.polymul([0.0, 27.0 / 4.0], npoly.polypow([1.0, -1.0], 2))
         bracket = npoly.polyadd(
             [0.0, 2.0], npoly.polymul([r2], [1.0, 2.0 * (r2 - 3.0), 1.0])
@@ -479,7 +495,7 @@ class TestTheoremSuites:
             ),
             npoly.polymul([r2], npoly.polypow([1.0, -r2], 4)),
         )
-        got = case1_poly_coeffs(r)
+        got = case1_poly_coeffs()
         assert got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -954,6 +970,21 @@ class TestScalarLoopOracles:
     def test_thm3_grid(self):
         xs = np.linspace(X_GUARD, X_SUP - X_GUARD, 1000)
         self._assert_loop_bits(_thm3_sextic(xs), _thm3_sextic, xs)
+
+    def test_thm3_sextic_has_the_bits_of_its_own_horner_loop(self):
+        # The plain `(total + c)*x` loop is the oracle, signs of zero included.
+        def loop(x):
+            total = 0.0
+            for c in reversed(thm3_surd_coefficients()):
+                total = (total + c) * x
+            return total
+
+        xs = np.concatenate(
+            ([0.0, -0.0], np.linspace(X_GUARD, X_SUP - X_GUARD, 1000))
+        )
+        self._assert_loop_bits(_thm3_sextic(xs), loop, xs)
+        got = np.array([_thm3_sextic(x) for x in xs.tolist()])
+        self._assert_loop_bits(got, loop, xs)
 
     def test_cor2_reduced_grid(self):
         vs = np.linspace(0.0, 4.0 / 9.0, 200)
